@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "lang/compiler.hpp"
 #include "lang/error.hpp"
 #include "lang/parser.hpp"
 #include "lang/printer.hpp"
@@ -10,8 +11,6 @@
 #include "util/logging.hpp"
 
 namespace ccp::agent {
-
-namespace {
 
 /// Applies host policy by rewriting the program AST: every Rate(x)
 /// becomes Rate(min(x, cap)) and every Cwnd(x) becomes
@@ -36,6 +35,8 @@ void apply_policy(lang::Program& prog, const Policy& policy) {
   }
 }
 
+namespace {
+
 double clamp_opt(double v, const std::optional<double>& lo,
                  const std::optional<double>& hi) {
   if (lo && v < *lo) v = *lo;
@@ -44,6 +45,18 @@ double clamp_opt(double v, const std::optional<double>& lo,
 }
 
 }  // namespace
+
+/// Everything about a program that does not depend on the flow: the
+/// policy-rewritten, checked text that goes on the wire, plus the layout
+/// needed to decode reports and encode UpdateFields. Immutable once
+/// built, so any number of flows can share one.
+struct CcpAgent::PreparedProgram {
+  std::string text;
+  std::vector<std::string> field_names;  // fold registers, report order
+  // prog.vars order, not the order an algorithm lists its bindings:
+  // UpdateFieldsMsg is positional in this order.
+  std::vector<std::string> var_names;
+};
 
 double Measurement::get(std::string_view name, double fallback) const {
   if (names_ == nullptr) return fallback;
@@ -74,8 +87,8 @@ std::vector<PktSample> Measurement::samples() const {
   return out;
 }
 
-/// Per-flow bookkeeping in the agent: the algorithm instance, the field
-/// names of the installed program (to decode positional reports), and the
+/// Per-flow bookkeeping in the agent: the algorithm instance, the layout
+/// of the installed program (to decode positional reports), and the
 /// FlowControl implementation handed to the algorithm.
 class CcpAgent::FlowEntry final : public FlowControl {
  public:
@@ -87,9 +100,10 @@ class CcpAgent::FlowEntry final : public FlowControl {
         supports_programs_(supports_programs) {}
 
   Algorithm& alg() { return *alg_; }
-  const std::vector<std::string>& field_names() const { return field_names_; }
+  /// Installed program's layout; null until the first install.
+  const PreparedPtr& layout() const { return layout_; }
 
-  /// Install round-trip bookkeeping: do_install() stamps, the first
+  /// Install round-trip bookkeeping: send_install() stamps, the first
   /// report that arrives afterwards closes the loop (there is no
   /// install-ack message; the next report proves the program is live).
   uint64_t take_install_sent_ns() {
@@ -104,22 +118,23 @@ class CcpAgent::FlowEntry final : public FlowControl {
 
   void install(const lang::Program& program,
                std::span<const std::pair<std::string, double>> vars) override {
-    // Copy so policy rewriting does not mutate the caller's AST.
-    lang::Program rewritten = program;
-    do_install(std::move(rewritten), vars);
+    // prepare() takes a copy, so policy rewriting leaves the caller's AST be.
+    send_install(agent_->prepare(program), vars);
   }
 
   void install_text(std::string program_text,
                     std::span<const std::pair<std::string, double>> vars) override {
-    do_install(lang::parse_program(program_text), vars);
+    send_install(agent_->prepare_text(std::move(program_text)), vars);
   }
 
   void update_fields(std::span<const std::pair<std::string, double>> vars) override {
+    static const std::vector<std::string> kNoVars;
+    const std::vector<std::string>& var_names = layout_ ? layout_->var_names : kNoVars;
     if (!supports_programs_) {
       // Refresh the remembered bindings, then issue direct commands.
       for (const auto& [name, value] : vars) {
-        for (size_t i = 0; i < installed_var_names_.size(); ++i) {
-          if (installed_var_names_[i] == name) {
+        for (size_t i = 0; i < var_names.size(); ++i) {
+          if (var_names[i] == name) {
             last_var_values_[i] = value;
             break;
           }
@@ -130,11 +145,11 @@ class CcpAgent::FlowEntry final : public FlowControl {
     }
     ipc::UpdateFieldsMsg msg;
     msg.flow_id = info_.id;
-    msg.var_values.assign(installed_var_names_.size(), 0.0);
-    for (size_t i = 0; i < installed_var_names_.size(); ++i) {
+    msg.var_values.assign(var_names.size(), 0.0);
+    for (size_t i = 0; i < var_names.size(); ++i) {
       bool found = false;
       for (const auto& [name, value] : vars) {
-        if (name == installed_var_names_[i]) {
+        if (name == var_names[i]) {
           msg.var_values[i] = value;
           found = true;
           break;
@@ -198,44 +213,37 @@ class CcpAgent::FlowEntry final : public FlowControl {
     }
   }
 
-  void do_install(lang::Program prog,
-                  std::span<const std::pair<std::string, double>> vars) {
+  /// The one Install path: adopts `prepared` as this flow's layout and
+  /// ships it with the flow's bindings.
+  void send_install(PreparedPtr prepared,
+                    std::span<const std::pair<std::string, double>> vars) {
     if (!supports_programs_) {
       // Limited datapath: fixed report layout, direct control only.
-      field_names_ = ipc::prototype_field_names();
-      installed_var_names_.clear();
-      for (const auto& [name, value] : vars) {
-        installed_var_names_.push_back(name);
-      }
+      auto direct = std::make_shared<PreparedProgram>();
+      direct->field_names = ipc::prototype_field_names();
+      for (const auto& [name, value] : vars) direct->var_names.push_back(name);
+      layout_ = std::move(direct);
       last_var_values_.clear();
       for (const auto& [name, value] : vars) last_var_values_.push_back(value);
       translate_to_direct(vars);
       return;
     }
-    apply_policy(prog, agent_->config_.policy);
-    // Reject bad programs here, before they ever reach the datapath.
-    lang::check_or_throw(prog);
+    layout_ = std::move(prepared);
 
     ipc::InstallMsg msg;
     msg.flow_id = info_.id;
-    msg.program_text = lang::print_program(prog);
+    msg.program_text = layout_->text;
     msg.vector_mode = vector_mode_requested_;
     for (const auto& [name, value] : vars) {
       msg.var_names.push_back(name);
       msg.var_values.push_back(value);
     }
 
-    // Remember layout for decoding subsequent reports. Crucially,
-    // installed_var_names_ must follow the *program's* variable order
-    // (prog.vars), because UpdateFieldsMsg is positional in that order —
-    // not in whatever order the algorithm happened to list bindings.
-    field_names_.clear();
-    for (const auto& reg : prog.folds) field_names_.push_back(reg.name);
-    installed_var_names_ = prog.vars;
-    last_var_values_.assign(installed_var_names_.size(), 0.0);
-    for (size_t i = 0; i < installed_var_names_.size(); ++i) {
+    const std::vector<std::string>& var_names = layout_->var_names;
+    last_var_values_.assign(var_names.size(), 0.0);
+    for (size_t i = 0; i < var_names.size(); ++i) {
       for (const auto& [name, value] : vars) {
-        if (name == installed_var_names_[i]) {
+        if (name == var_names[i]) {
           last_var_values_[i] = value;
           break;
         }
@@ -257,8 +265,7 @@ class CcpAgent::FlowEntry final : public FlowControl {
   FlowInfo info_;
   std::unique_ptr<Algorithm> alg_;
   bool supports_programs_;
-  std::vector<std::string> field_names_;
-  std::vector<std::string> installed_var_names_;
+  PreparedPtr layout_;  // shared with the cache and other flows
   std::vector<double> last_var_values_;
   bool vector_mode_requested_ = false;
   uint64_t install_sent_ns_ = 0;
@@ -271,6 +278,27 @@ CcpAgent::~CcpAgent() = default;
 
 void CcpAgent::register_algorithm(const std::string& name, AlgorithmFactory factory) {
   registry_[name] = std::move(factory);
+}
+
+CcpAgent::PreparedPtr CcpAgent::prepare(lang::Program prog) {
+  apply_policy(prog, config_.policy);
+  // Reject bad programs here, before they ever reach the datapath.
+  lang::check_or_throw(prog);
+  auto prepared = std::make_shared<PreparedProgram>();
+  prepared->text = lang::print_program(prog);
+  prepared->field_names.reserve(prog.folds.size());
+  for (const auto& reg : prog.folds) prepared->field_names.push_back(reg.name);
+  prepared->var_names = std::move(prog.vars);
+  ++stats_.programs_prepared;
+  return prepared;
+}
+
+CcpAgent::PreparedPtr CcpAgent::prepare_text(std::string text) {
+  if (auto it = prepared_.find(text); it != prepared_.end()) return it->second;
+  PreparedPtr prepared = prepare(lang::parse_program(text));
+  if (prepared_.size() >= lang::kDefaultProgramCacheCapacity) prepared_.clear();
+  prepared_.emplace(std::move(text), prepared);
+  return prepared;
 }
 
 Algorithm* CcpAgent::algorithm(ipc::FlowId id) {
@@ -424,7 +452,10 @@ void CcpAgent::on_measurement(const ipc::MeasurementMsg& msg) {
     current_span_.emit_ns = msg.emitted_ns;
     current_span_.agent_recv_ns = t0;
   }
-  Measurement m(&entry.field_names(), &msg);
+  // Hold the layout for the whole handler: an algorithm that reinstalls
+  // from inside it may drop the last other reference to these names.
+  const PreparedPtr layout = entry.layout();
+  Measurement m(layout ? &layout->field_names : nullptr, &msg);
   entry.alg().on_measurement(entry, m);
   current_span_ = telemetry::SpanStamp{};
   if (t0 != 0) {
@@ -459,7 +490,8 @@ void CcpAgent::on_urgent(const ipc::UrgentMsg& msg) {
   // reallocated, per urgent.
   urgent_view_.flow_id = msg.flow_id;
   urgent_view_.fields.assign(msg.fields.begin(), msg.fields.end());
-  Measurement m(&entry.field_names(), &urgent_view_);
+  const PreparedPtr layout = entry.layout();
+  Measurement m(layout ? &layout->field_names : nullptr, &urgent_view_);
   entry.alg().on_urgent(entry, msg.kind, m);
   current_span_ = telemetry::SpanStamp{};
   if (t0 != 0) {

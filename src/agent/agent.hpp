@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "agent/algorithm.hpp"
 #include "ipc/wire.hpp"
@@ -26,6 +27,10 @@ struct Policy {
   std::optional<double> min_cwnd_bytes;
 };
 
+/// Rewrites every Rate/Cwnd control instruction of `prog` so the host
+/// policy's caps travel with the program into the datapath.
+void apply_policy(lang::Program& prog, const Policy& policy);
+
 struct AgentConfig {
   std::string default_algorithm = "reno";
   Policy policy;
@@ -41,6 +46,9 @@ struct AgentStats {
   uint64_t unknown_flow_msgs = 0;
   uint64_t unknown_algorithm = 0;
   uint64_t flows_resynced = 0;  // rebuilt from replayed FlowSummary msgs
+  // Programs policy-rewritten, checked and printed: once per distinct
+  // text while it stays cached, and on every AST install.
+  uint64_t programs_prepared = 0;
 };
 
 class CcpAgent {
@@ -69,8 +77,19 @@ class CcpAgent {
   /// Algorithm instance for a flow (tests/introspection); null if absent.
   Algorithm* algorithm(ipc::FlowId id);
 
+  /// Distinct program texts currently held prepared (introspection).
+  size_t prepared_programs() const { return prepared_.size(); }
+
  private:
   class FlowEntry;
+  struct PreparedProgram;
+  using PreparedPtr = std::shared_ptr<const PreparedProgram>;
+
+  /// Policy-rewrites, checks and prints `prog`; throws lang::ProgramError.
+  PreparedPtr prepare(lang::Program prog);
+  /// prepare(parse_program(text)), memoized on the exact text. Failures
+  /// are not cached, so a bad text throws on every call.
+  PreparedPtr prepare_text(std::string text);
 
   void on_create(const ipc::CreateMsg& msg);
   void on_measurement(const ipc::MeasurementMsg& msg);
@@ -89,6 +108,13 @@ class CcpAgent {
   util::FlatMap<ipc::FlowId, std::unique_ptr<FlowEntry>> flows_;
   AgentStats stats_;
   uint64_t expected_resync_token_ = 0;  // 0 = accept any
+
+  // Prepared programs keyed by exact source text. The key is complete
+  // only because config_.policy is fixed at construction: anything that
+  // makes policy mutable must clear this map. Bounded by
+  // lang::kDefaultProgramCacheCapacity (cleared when full); flows hold
+  // their own reference, so clearing never invalidates a live layout.
+  std::unordered_map<std::string, PreparedPtr> prepared_;
 
   // Hot-path scratch, reused across frames (see CcpDatapath for the
   // reentrancy discipline around rx_busy_).

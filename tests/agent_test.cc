@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "agent/agent.hpp"
 #include "agent/transport_loop.hpp"
+#include "algorithms/bbr.hpp"
+#include "algorithms/registry.hpp"
+#include "lang/compiler.hpp"
+#include "lang/error.hpp"
 #include "lang/parser.hpp"
+#include "lang/printer.hpp"
+#include "lang/sema.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace ccp::agent {
@@ -353,6 +362,322 @@ TEST(Agent, FlowSummaryForKnownFlowIsIgnored) {
   h.deliver(summary(1, /*token=*/0));
   EXPECT_EQ(h.probe.inits, 1);
   EXPECT_EQ(h.agent->stats().flows_resynced, 0u);
+}
+
+// --- program preparation cache ---
+
+using Bindings = std::vector<std::pair<std::string, double>>;
+
+/// One install_text call as an algorithm made it.
+struct RecordedInstall {
+  std::string text;
+  Bindings vars;
+  bool vector_mode = false;
+};
+
+/// FlowControl that records install_text calls instead of sending them.
+class InstallRecorder final : public FlowControl {
+ public:
+  const FlowInfo& info() const override { return info_; }
+  void install(const lang::Program&,
+               std::span<const std::pair<std::string, double>>) override {
+    ADD_FAILURE() << "built-in algorithms install text";
+  }
+  void install_text(std::string program_text,
+                    std::span<const std::pair<std::string, double>> vars) override {
+    installs.push_back({std::move(program_text), Bindings(vars.begin(), vars.end()),
+                        vector_mode_});
+  }
+  void update_fields(std::span<const std::pair<std::string, double>>) override {}
+  void set_cwnd(double) override {}
+  void set_rate(double) override {}
+  void set_vector_mode(bool enabled) override { vector_mode_ = enabled; }
+
+  std::vector<RecordedInstall> installs;
+
+ private:
+  FlowInfo info_{1, 1460, 14600};
+  bool vector_mode_ = false;
+};
+
+/// Every install a built-in algorithm makes: each algorithm's init
+/// program, plus BBR's ProbeBW program, reached by feeding constant-rate
+/// reports until its plateau detector leaves Startup.
+std::vector<RecordedInstall> builtin_installs() {
+  const FlowInfo info{1, 1460, 14600};
+  InstallRecorder rec;
+  for (const auto& name : algorithms::builtin_algorithm_names()) {
+    algorithms::make_algorithm(name, info)->init(rec);
+  }
+  InstallRecorder bbr_rec;
+  auto bbr = algorithms::make_algorithm("bbr", info);
+  bbr->init(bbr_rec);
+  const std::vector<std::string> names = {"rcv", "minrtt"};
+  ipc::MeasurementMsg msg;
+  msg.fields = {1e7, 10'000};
+  const Measurement m(&names, &msg);
+  for (int i = 0; i < 10 && bbr_rec.installs.size() < 2; ++i) {
+    bbr->on_measurement(bbr_rec, m);
+  }
+  EXPECT_EQ(bbr_rec.installs.size(), 2u) << "BBR never left Startup";
+  if (bbr_rec.installs.size() == 2) rec.installs.push_back(bbr_rec.installs[1]);
+  return rec.installs;
+}
+
+/// The uncached preparation every Install used to get: parse, apply
+/// policy, check, print.
+std::string fresh_program_text(const std::string& text, const Policy& policy) {
+  lang::Program prog = lang::parse_program(text);
+  apply_policy(prog, policy);
+  lang::check_or_throw(prog);
+  return lang::print_program(prog);
+}
+
+/// Replays one recorded install as its own algorithm's init.
+class Replay final : public Algorithm {
+ public:
+  explicit Replay(const RecordedInstall* install) : install_(install) {}
+  std::string_view name() const override { return "replay"; }
+  AlgorithmTraits traits() const override { return {}; }
+  void init(FlowControl& flow) override {
+    flow.set_vector_mode(install_->vector_mode);
+    flow.install_text(install_->text, install_->vars);
+  }
+  void on_measurement(FlowControl&, const Measurement&) override {}
+  void on_urgent(FlowControl&, ipc::UrgentKind, const Measurement&) override {}
+
+ private:
+  const RecordedInstall* install_;
+};
+
+void expect_builtin_installs_match_fresh_preparation(const Policy& policy) {
+  telemetry::set_enabled(false);  // no emitted_ns stamp: frames are deterministic
+  const std::vector<RecordedInstall> installs = builtin_installs();
+  ASSERT_GE(installs.size(), 8u);
+
+  AgentConfig cfg;
+  cfg.policy = policy;
+  std::vector<std::vector<uint8_t>> frames;
+  CcpAgent agent(cfg, [&frames](std::span<const uint8_t> frame) {
+    frames.emplace_back(frame.begin(), frame.end());
+  });
+  std::set<std::string> distinct;
+  for (size_t i = 0; i < installs.size(); ++i) {
+    const std::string name = "replay" + std::to_string(i);
+    agent.register_algorithm(name, [rec = &installs[i]](const FlowInfo&) {
+      return std::make_unique<Replay>(rec);
+    });
+    distinct.insert(installs[i].text);
+
+    ipc::InstallMsg expected;
+    expected.program_text = fresh_program_text(installs[i].text, policy);
+    expected.vector_mode = installs[i].vector_mode;
+    for (const auto& [var, value] : installs[i].vars) {
+      expected.var_names.push_back(var);
+      expected.var_values.push_back(value);
+    }
+    // Two successive flows: the first prepares (or reuses an earlier
+    // algorithm's identical text), the second certainly reuses.
+    for (ipc::FlowId id : {static_cast<ipc::FlowId>(2 * i + 1),
+                           static_cast<ipc::FlowId>(2 * i + 2)}) {
+      frames.clear();
+      agent.handle_frame(ipc::encode_frame(create(id, name)));
+      ASSERT_EQ(frames.size(), 1u) << name;
+      expected.flow_id = id;
+      EXPECT_EQ(frames[0], ipc::encode_frame(ipc::Message(expected)))
+          << "install " << i << " flow " << id << " differs from a fresh preparation";
+    }
+  }
+  EXPECT_EQ(agent.stats().installs_sent, 2 * installs.size());
+  EXPECT_EQ(agent.stats().programs_prepared, distinct.size());
+}
+
+TEST(AgentProgramCache, BuiltinInstallsMatchFreshPreparation) {
+  expect_builtin_installs_match_fresh_preparation(Policy{});
+}
+
+TEST(AgentProgramCache, BuiltinInstallsMatchFreshPreparationUnderPolicy) {
+  Policy policy;
+  policy.min_cwnd_bytes = 3000;
+  policy.max_cwnd_bytes = 50'000;
+  policy.max_rate_bps = 1e6;
+  expect_builtin_installs_match_fresh_preparation(policy);
+}
+
+TEST(AgentProgramCache, ThousandFlowsPrepareEachTextOnce) {
+  std::set<std::string> texts;
+  CcpAgent agent({}, [&texts](std::span<const uint8_t> frame) {
+    for (const auto& msg : ipc::decode_frame(frame)) {
+      if (auto* install = std::get_if<ipc::InstallMsg>(&msg)) {
+        texts.insert(install->program_text);
+      }
+    }
+  });
+  algorithms::register_builtin_algorithms(agent);
+  const char* kAlgs[] = {"reno", "cubic", "dctcp", "bbr"};
+  for (ipc::FlowId id = 1; id <= 1000; ++id) {
+    agent.handle_frame(ipc::encode_frame(create(id, kAlgs[id % 4])));
+  }
+  EXPECT_EQ(agent.stats().installs_sent, 1000u);
+  // reno and cubic share one window program: three distinct texts.
+  EXPECT_EQ(texts.size(), 3u);
+  EXPECT_EQ(agent.stats().programs_prepared, texts.size());
+  EXPECT_EQ(agent.prepared_programs(), texts.size());
+}
+
+TEST(AgentProgramCache, MalformedTextThrowsEveryTimeAndIsNotCached) {
+  class Broken final : public Algorithm {
+   public:
+    std::string_view name() const override { return "broken"; }
+    AlgorithmTraits traits() const override { return {}; }
+    void init(FlowControl& flow) override {
+      for (const char* text : {"fold { x := ; }",  // parse error
+                               "control { Cwnd(10000); WaitRtts(1.0); }"}) {  // no Report
+        for (int i = 0; i < 2; ++i) {
+          EXPECT_THROW(flow.install_text(text, Bindings{}), lang::ProgramError);
+        }
+      }
+    }
+    void on_measurement(FlowControl&, const Measurement&) override {}
+    void on_urgent(FlowControl&, ipc::UrgentKind, const Measurement&) override {}
+  };
+  Harness h;
+  h.agent->register_algorithm(
+      "broken", [](const FlowInfo&) { return std::make_unique<Broken>(); });
+  for (ipc::FlowId id = 1; id <= 3; ++id) h.deliver(create(id, "broken"));
+  EXPECT_EQ(h.agent->stats().programs_prepared, 0u);
+  EXPECT_EQ(h.agent->prepared_programs(), 0u);
+  EXPECT_EQ(h.agent->stats().installs_sent, 0u);
+  EXPECT_TRUE(h.sent_of<ipc::InstallMsg>().empty());
+}
+
+TEST(AgentProgramCache, BbrReportsDecodeUnderProbeBwFieldsAfterSwitch) {
+  telemetry::set_enabled(false);
+  Harness h;
+  algorithms::register_builtin_algorithms(*h.agent);
+  h.deliver(create(1, "bbr"));
+  auto installs = h.sent_of<ipc::InstallMsg>();
+  ASSERT_EQ(installs.size(), 1u);
+  const lang::Program startup = lang::parse_program(installs[0].program_text);
+
+  // Constant-rate reports in the Startup layout until BBR reinstalls.
+  for (int i = 0; i < 10 && h.sent_of<ipc::InstallMsg>().size() < 2; ++i) {
+    ipc::MeasurementMsg m;
+    m.flow_id = 1;
+    m.fields.assign(startup.folds.size(), 0.0);
+    m.fields[startup.fold_index("rcv")] = 1e7;
+    m.fields[startup.fold_index("minrtt")] = 10'000;
+    h.deliver(m);
+  }
+  installs = h.sent_of<ipc::InstallMsg>();
+  ASSERT_EQ(installs.size(), 2u);
+  const lang::Program probe_bw = lang::parse_program(installs[1].program_text);
+  ASSERT_NE(startup.fold_index("minrtt"), probe_bw.fold_index("minrtt"));
+  EXPECT_EQ(h.agent->stats().programs_prepared, 2u);
+
+  // A ProbeBW-layout report: decoded under the Startup names, minrtt
+  // would read the loss slot (0) and be ignored.
+  ipc::MeasurementMsg m;
+  m.flow_id = 1;
+  m.fields.assign(probe_bw.folds.size(), 0.0);
+  m.fields[probe_bw.fold_index("rcv")] = 5e7;
+  m.fields[probe_bw.fold_index("minrtt")] = 5'000;
+  h.sent.clear();
+  h.deliver(m);
+  auto updates = h.sent_of<ipc::UpdateFieldsMsg>();
+  ASSERT_EQ(updates.size(), 1u);
+  const auto var = [&](const std::string& name) {
+    for (size_t i = 0; i < probe_bw.vars.size(); ++i) {
+      if (probe_bw.vars[i] == name) return updates[0].var_values.at(i);
+    }
+    ADD_FAILURE() << "no $" << name;
+    return 0.0;
+  };
+  EXPECT_DOUBLE_EQ(var("rate"), 5e7);
+  EXPECT_DOUBLE_EQ(var("cwnd_cap"), algorithms::Bbr::kCwndGain * 5e7 * 5'000 / 1e6);
+}
+
+/// Installs a program whose only fold register is named after the flow
+/// ("r<id>"), so every flow has its own text and its own report layout.
+/// Reports are recorded per flow; with `reinstall_on_report`, the
+/// handler first switches the flow to yet another text.
+class PerFlowText final : public Algorithm {
+ public:
+  PerFlowText(ipc::FlowId id, std::map<ipc::FlowId, double>* seen,
+              bool reinstall_on_report)
+      : id_(id), seen_(seen), reinstall_on_report_(reinstall_on_report) {}
+
+  static std::string text(const std::string& reg) {
+    return "fold { volatile " + reg + " := " + reg + " + Pkt.bytes_acked init 0; }\n"
+           "control { Cwnd($cwnd); WaitRtts(1.0); Report(); }";
+  }
+
+  std::string_view name() const override { return "per_flow_text"; }
+  AlgorithmTraits traits() const override { return {}; }
+  void init(FlowControl& flow) override {
+    flow.install_text(text("r" + std::to_string(id_)), Bindings{{"cwnd", 14600.0}});
+  }
+  void on_measurement(FlowControl& flow, const Measurement& m) override {
+    if (reinstall_on_report_) {
+      flow.install_text(text("s" + std::to_string(id_)), Bindings{{"cwnd", 14600.0}});
+    }
+    (*seen_)[id_] = m.get("r" + std::to_string(id_), -1);
+  }
+  void on_urgent(FlowControl&, ipc::UrgentKind, const Measurement&) override {}
+
+ private:
+  ipc::FlowId id_;
+  std::map<ipc::FlowId, double>* seen_;
+  bool reinstall_on_report_;
+};
+
+void register_per_flow_text(CcpAgent& agent, std::map<ipc::FlowId, double>* seen,
+                            bool reinstall_on_report) {
+  agent.register_algorithm("per_flow_text", [=](const FlowInfo& info) {
+    return std::make_unique<PerFlowText>(info.id, seen, reinstall_on_report);
+  });
+}
+
+TEST(AgentProgramCache, StaysBoundedAndEvictedFlowsStillDecode) {
+  Harness h;
+  std::map<ipc::FlowId, double> seen;
+  register_per_flow_text(*h.agent, &seen, /*reinstall_on_report=*/false);
+  const size_t n = lang::kDefaultProgramCacheCapacity + 16;
+  for (ipc::FlowId id = 1; id <= n; ++id) {
+    h.deliver(create(id, "per_flow_text"));
+    EXPECT_LE(h.agent->prepared_programs(), lang::kDefaultProgramCacheCapacity);
+  }
+  EXPECT_EQ(h.agent->stats().programs_prepared, n);
+  for (ipc::FlowId id = 1; id <= n; ++id) {
+    ipc::MeasurementMsg m;
+    m.flow_id = id;
+    m.fields = {1000.0 + id};
+    h.deliver(m);
+  }
+  ASSERT_EQ(seen.size(), n);
+  for (const auto& [id, value] : seen) EXPECT_DOUBLE_EQ(value, 1000.0 + id) << id;
+  // Flow 1's text was evicted; installing it again prepares it again.
+  h.deliver(ipc::Message(ipc::FlowCloseMsg{1}));
+  h.deliver(create(1, "per_flow_text"));
+  EXPECT_EQ(h.agent->stats().programs_prepared, n + 1);
+}
+
+TEST(AgentProgramCache, ReinstallInsideHandlerKeepsReportLayoutAlive) {
+  Harness h;
+  std::map<ipc::FlowId, double> seen;
+  register_per_flow_text(*h.agent, &seen, /*reinstall_on_report=*/true);
+  h.deliver(create(1, "per_flow_text"));
+  // Push flow 1's text out of the cache, so the flow holds the only
+  // reference to its layout when the handler replaces it.
+  for (ipc::FlowId id = 2; id <= lang::kDefaultProgramCacheCapacity + 1; ++id) {
+    h.deliver(create(id, "per_flow_text"));
+  }
+  ipc::MeasurementMsg m;
+  m.flow_id = 1;
+  m.fields = {4321.0};
+  h.deliver(m);
+  EXPECT_DOUBLE_EQ(seen[1], 4321.0);
+  EXPECT_EQ(h.sent_of<ipc::InstallMsg>().back().flow_id, 1u);
 }
 
 // --- adaptive idle backoff (transport_loop.hpp) ---

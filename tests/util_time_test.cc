@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "util/time.hpp"
 #include "util/units.hpp"
 
@@ -97,6 +99,10 @@ struct RoundTripCase {
   const char* text;
   double bps;
 };
+
+// Without a printer gtest dumps the struct's raw bytes, which include the
+// string pointer, so the discovered ctest names would change on every build.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.text; }
 
 class BandwidthRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 
