@@ -124,11 +124,11 @@ void AckBatchRunner::run(CcpDatapath& dp, std::span<const FlowAck> burst) {
         f->prefetch_for_ack();
       }
     }
-    run_chunk(dp, std::span<const FlowAck>(acks, n), look);
+    run_chunk(std::span<const FlowAck>(acks, n), look);
   }
 }
 
-void AckBatchRunner::run_chunk(CcpDatapath& dp, std::span<const FlowAck> burst,
+void AckBatchRunner::run_chunk(std::span<const FlowAck> burst,
                                CcpFlow* const* look) {
   static constexpr uintptr_t kSeenTag = 1;
   const size_t n = burst.size();

@@ -78,12 +78,8 @@ class AckBatchRunner {
  private:
   /// One ≤32-ACK chunk after the intake prefetch sweeps: `look[i]` is
   /// the resolved (possibly seen-tagged) flow for burst[i].
-  void run_chunk(CcpDatapath& dp, std::span<const FlowAck> burst,
-                 CcpFlow* const* look);
+  void run_chunk(std::span<const FlowAck> burst, CcpFlow* const* look);
 
- public:
-
- private:
   // The lane's execution engine (cached per flow; see BatchExec in
   // events.hpp). Doubles as part of the grouping key so one grouped
   // call never mixes engines.

@@ -84,7 +84,7 @@ CcpFlow::CcpFlow(ipc::FlowId id, FlowConfig config, MessageSink sink,
   // once per process, not once per flow.
   program_ = lang::compile_text_shared(kDefaultProgram);
   fold_.install(program_.get(), {});
-  refresh_batch_exec();
+  refresh_install_latches();
   watchdog_enabled_ =
       !config_.agent_timeout.is_zero() || config_.watchdog_rtts > 0;
 }
@@ -133,7 +133,7 @@ void CcpFlow::reset_for_reuse(ipc::FlowId id, const FlowConfig& config) {
   last_agent_contact_ = TimePoint{};
   fallback_entered_ = TimePoint{};
   vector_samples_.clear();
-  refresh_batch_exec();
+  refresh_install_latches();
 }
 
 Duration CcpFlow::srtt() const {
@@ -180,15 +180,14 @@ void CcpFlow::fill_pkt_info(const AckEvent& ev) {
   pkt.ecn = ev.ecn ? 1.0 : 0.0;
   pkt.was_timeout = 0.0;
   // Windowed rate queries walk the estimator ring to expire old events;
-  // skip them when nothing downstream looks at the result (the installed
+  // skip them when nothing downstream looks at the result — exactly when
+  // the estimator's install-time recording latch is off (the installed
   // program — control args included — doesn't read the field and vector
   // samples are off). Zero matches what a fresh PktInfo would carry.
   // The horizon retune (roughly one RTT, BBR-style delivery rate
   // sampling) also lives here, on the queried path only.
-  const bool want_snd = hot_->vector_mode || program_ == nullptr ||
-                        program_->reads_pkt_field(lang::PktField::SndRateBps);
-  const bool want_rcv = hot_->vector_mode || program_ == nullptr ||
-                        program_->reads_pkt_field(lang::PktField::RcvRateBps);
+  const bool want_snd = snd_rate_.recording();
+  const bool want_rcv = rcv_rate_.recording();
   if (want_snd || want_rcv) tune_rate_windows();
   // TTL-cached (window/8): per-ACK reads tolerate an estimate a fraction
   // of the window stale; loss/timeout and control paths still query the
@@ -286,9 +285,14 @@ void CcpFlow::on_loss(const LossEvent& ev) {
   lang::PktInfo pkt;
   pkt.rtt_us = hot_->srtt_us.value();
   pkt.lost_packets = static_cast<double>(ev.lost_packets);
-  tune_rate_windows();
-  pkt.snd_rate_bps = snd_rate_.rate_bps(ev.now);
-  pkt.rcv_rate_bps = rcv_rate_.rate_bps(ev.now);
+  // Exact-now rates, but only from recording estimators: a paused one
+  // holds stale history nothing may read, so it reports 0 as
+  // fill_pkt_info does.
+  const bool want_snd = snd_rate_.recording();
+  const bool want_rcv = rcv_rate_.recording();
+  if (want_snd || want_rcv) tune_rate_windows();
+  pkt.snd_rate_bps = want_snd ? snd_rate_.rate_bps(ev.now) : 0.0;
+  pkt.rcv_rate_bps = want_rcv ? rcv_rate_.rate_bps(ev.now) : 0.0;
   pkt.bytes_in_flight = static_cast<double>(ev.bytes_in_flight);
   pkt.now_us = static_cast<double>(ev.now.nanos()) / 1000.0;
   pkt.mss = static_cast<double>(config_.mss);
@@ -564,7 +568,7 @@ void CcpFlow::install_compiled(std::shared_ptr<const lang::CompiledProgram> prog
     vector_samples_.reserve(
         std::min<size_t>(config_.max_vector_samples, 1024) * kVectorFieldsPerPkt);
   }
-  refresh_batch_exec();
+  refresh_install_latches();
   agent_has_programmed_ = true;
   if (in_fallback_) record_fallback_exit(now);
   last_agent_contact_ = now;

@@ -71,9 +71,12 @@ struct FlowConfig {
 
   /// Rate-estimator ring capacity, in events (rounded to a power of
   /// two). Two rings per flow make this the dominant per-flow footprint:
-  /// 512 entries is ~24 KB/flow — fine for dozens of hot flows, ~24 GB
-  /// at a million resident. Million-flow configurations shrink it (the
-  /// anchor fallback keeps estimates graceful; see util/rate_estimator).
+  /// 512 entries of 16 B is 16 KB/flow — fine for dozens of hot flows,
+  /// ~16 GB at a million resident. Only flows whose program reads
+  /// Pkt.snd_rate/Pkt.rcv_rate (or that run in vector mode) write their
+  /// rings, so the rest never make those pages resident. Million-flow
+  /// configurations shrink it (the anchor fallback keeps estimates
+  /// graceful; see util/rate_estimator).
   size_t rate_ring_entries = RateEstimator::kDefaultCapacity;
 };
 
@@ -154,7 +157,8 @@ class CcpFlow final : public CcModule {
   void on_ack(const AckEvent& ev) override;
   void on_loss(const LossEvent& ev) override;
   void on_timeout(const TimeoutEvent& ev) override;
-  // Inline: runs per sent packet and is just the estimator's ring write.
+  // Inline: runs per sent packet and is just the estimator's ring write
+  // (nothing at all when the installed program does not read the rate).
   void on_send(const SendEvent& ev) override { snd_rate_.on_bytes(ev.bytes, ev.now); }
 
   /// Advances time-based control-program waits even when no ACKs arrive.
@@ -185,7 +189,7 @@ class CcpFlow final : public CcModule {
   /// ACK and ships the raw vector at Report() time.
   void set_vector_mode(bool enabled) {
     hot_->vector_mode = enabled;
-    refresh_batch_exec();
+    refresh_install_latches();
   }
   bool vector_mode() const { return hot_->vector_mode; }
 
@@ -209,8 +213,9 @@ class CcpFlow final : public CcModule {
   /// Stage-one prefetch: the flow object's own cache lines. Every address
   /// here is `this` plus a compile-time offset — no field is read — so a
   /// completely cold flow costs no stall to prefetch. Covers the lines
-  /// holding the pointers/indices that prefetch_for_ack() must *load*
-  /// (hot_, the estimator ring heads, the fold state pointer).
+  /// holding the pointers/indices/latches that prefetch_for_ack() must
+  /// *load* (hot_, the estimator recording latches and ring heads, the
+  /// fold state pointer).
   void prefetch_self() const {
     const char* base = reinterpret_cast<const char*>(this);
     __builtin_prefetch(base);        // id_, config_ head
@@ -231,15 +236,17 @@ class CcpFlow final : public CcModule {
     __builtin_prefetch(ctl + 64, 1);
   }
   /// Stage-two prefetch: the lines *behind* the flow's pointers — hot
-  /// block, both estimator ring write positions, fold state. These
-  /// require reading fields of the flow, so the batch runner calls this
-  /// only after prefetch_self()'s lines have had a few ACKs' worth of
-  /// work to arrive; a cold (Zipf-tail) flow's dependent misses then
-  /// overlap earlier lanes instead of serializing in front of its own.
+  /// block, the write positions of the estimator rings that record, fold
+  /// state. These require reading fields of the flow, so the batch runner
+  /// calls this only after prefetch_self()'s lines have had a few ACKs'
+  /// worth of work to arrive; a cold (Zipf-tail) flow's dependent misses
+  /// then overlap earlier lanes instead of serializing in front of its
+  /// own. A paused estimator's ring is never written, so fetching its
+  /// line would only evict a useful one.
   void prefetch_for_ack() {
     __builtin_prefetch(hot_, 1);
-    __builtin_prefetch(snd_rate_.write_pos(), 1);
-    __builtin_prefetch(rcv_rate_.write_pos(), 1);
+    if (snd_rate_.recording()) __builtin_prefetch(snd_rate_.write_pos(), 1);
+    if (rcv_rate_.recording()) __builtin_prefetch(rcv_rate_.write_pos(), 1);
     __builtin_prefetch(fold_.state_data(), 1);
     __builtin_prefetch(fold_.vars_data());
   }
@@ -252,6 +259,10 @@ class CcpFlow final : public CcModule {
   bool in_fallback() const { return in_fallback_; }
   Duration srtt() const;
   const lang::FoldMachine& fold() const { return fold_; }
+  /// Sending / delivery rate estimators (recording only while the
+  /// installed program or vector mode reads them).
+  const RateEstimator& snd_rate() const { return snd_rate_; }
+  const RateEstimator& rcv_rate() const { return rcv_rate_; }
   /// True when this flow's per-ACK folds run JIT-compiled native code
   /// (JitMode On or Verify at install time and codegen succeeded).
   bool jit_active() const { return fold_.jit_active(); }
@@ -304,15 +315,25 @@ class CcpFlow final : public CcModule {
             ? TimePoint::epoch()
             : TimePoint::max();
   }
-  /// Re-derives hot_->exec_class from the fold machine's install-time
-  /// latches. Must run after every fold_.install and vector-mode change.
-  void refresh_batch_exec() {
+  /// Re-derives the per-ACK latches that depend only on the installed
+  /// program and vector mode: hot_->exec_class (from the fold machine's
+  /// install-time latches) and whether each rate estimator records — it
+  /// does iff something can observe it (the program reads the field in
+  /// any block, or vector samples carry it). Must run after every
+  /// fold_.install and vector-mode change.
+  void refresh_install_latches() {
     hot_->exec_class = !fold_.installed() || hot_->vector_mode
                           ? BatchExec::Peel
                       : fold_.jit_verifying() ? BatchExec::Verify
                       : fold_.batch_fn() != nullptr ? BatchExec::Simd
                       : !fold_.jit_active() ? BatchExec::BatchInterp
                                             : BatchExec::PerLane;
+    snd_rate_.set_recording(program_reads(lang::PktField::SndRateBps));
+    rcv_rate_.set_recording(program_reads(lang::PktField::RcvRateBps));
+  }
+  bool program_reads(lang::PktField f) const {
+    return hot_->vector_mode || program_ == nullptr ||
+           program_->reads_pkt_field(f);
   }
   void enter_fallback(TimePoint now);
   void record_fallback_exit(TimePoint now);
@@ -340,8 +361,9 @@ class CcpFlow final : public CcModule {
   FlowHot* hot_;
   lang::PktInfo last_pkt_;  // most recent event, for control-arg evaluation
 
-  // Measurement state (primitive (3)), queried behind field gating and a
-  // short TTL cache rather than walked per ACK.
+  // Measurement state (primitive (3)), recorded only while observed (see
+  // refresh_install_latches) and queried behind a short TTL cache rather
+  // than walked per ACK.
   RateEstimator snd_rate_;
   RateEstimator rcv_rate_;
 

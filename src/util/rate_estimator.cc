@@ -9,17 +9,16 @@ size_t RateEstimator::round_capacity(size_t capacity) {
 }
 
 RateEstimator::RateEstimator(Duration window, size_t capacity)
-    : window_(window), capacity_(round_capacity(capacity)) {
-  events_.resize(capacity_);
-}
+    : window_(window),
+      capacity_(round_capacity(capacity)),
+      events_(std::make_unique_for_overwrite<Event[]>(capacity_)) {}
 
 void RateEstimator::reinit(Duration window, size_t capacity) {
   window_ = window;
   const size_t cap = round_capacity(capacity);
   if (cap != capacity_) {
     capacity_ = cap;
-    events_.resize(cap);
-    events_.shrink_to_fit();
+    events_ = std::make_unique_for_overwrite<Event[]>(cap);
   }
   reset();
   total_bytes_ = 0;
@@ -35,14 +34,14 @@ void RateEstimator::expire(TimePoint now) const {
   // ACKed again — so the O(ring) walk collapses to the same state the
   // pops would reach: anchor at the newest event, empty window.
   const Event& newest = events_[(tail_ - 1) & (capacity_ - 1)];
-  if (newest.time < cutoff) {
-    anchor_time_ = newest.time;
+  if (newest.time_ns < cutoff.nanos()) {
+    anchor_time_ = TimePoint::from_nanos(newest.time_ns);
     anchor_valid_ = true;
     bytes_in_window_ = 0;
     head_ = tail_;
     return;
   }
-  while (count() > 0 && front().time < cutoff) pop_front_into_anchor();
+  while (count() > 0 && front().time_ns < cutoff.nanos()) pop_front_into_anchor();
 }
 
 double RateEstimator::rate_bps(TimePoint now) const {
@@ -64,7 +63,7 @@ double RateEstimator::rate_bps(TimePoint now) const {
   // Startup (nothing expired yet): measure from the first event, whose
   // own bytes arrived "at time zero" of the interval and are excluded.
   if (count() < 2) return 0.0;
-  const Duration span = now - front().time;
+  const Duration span = now - TimePoint::from_nanos(front().time_ns);
   if (span <= Duration::zero()) return 0.0;
   const uint64_t bytes = bytes_in_window_ - front().bytes;
   return static_cast<double>(bytes) / span.secs();

@@ -10,11 +10,14 @@
 // depends on (see docs/PERF.md). When the ring fills before time expires
 // old events, the oldest event is folded into the window-edge anchor —
 // the estimate degrades gracefully to "bytes since anchor / time since
-// anchor" rather than growing memory.
+// anchor" rather than growing memory. The ring is allocated without
+// being initialized: only slots in [head, tail) are ever read, and each
+// of those was written first, so ring pages a quiet flow never reaches
+// never become resident.
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "util/time.hpp"
 
@@ -26,8 +29,10 @@ class RateEstimator {
   /// control wants roughly an RTT; callers may retune via set_window().
   /// `capacity`: ring size in events, rounded up to a power of two (min
   /// 8). The default suits a hot flow; million-flow datapaths shrink it
-  /// (FlowConfig::rate_ring_entries) because two 512-entry rings per
-  /// flow is ~24 KB — the dominant per-flow footprint at scale.
+  /// (FlowConfig::rate_ring_entries) because two 512-entry rings of
+  /// 16 B events are 16 KB per flow (~16 GB at a million flows) — the
+  /// dominant per-flow footprint at scale, paid in resident memory only
+  /// by flows that record (see set_recording()).
   explicit RateEstimator(Duration window = Duration::from_millis(100),
                          size_t capacity = kDefaultCapacity);
 
@@ -37,13 +42,25 @@ class RateEstimator {
   }
   Duration window() const { return window_; }
 
+  /// Recording latch. A paused estimator drops on_bytes() events, so a
+  /// flow whose program never reads the rate writes no ring line per
+  /// packet. Turning recording back on starts from empty history, as a
+  /// new estimator would: the events missed while paused are gone, and an
+  /// estimate over the gap would be wrong. On by default.
+  bool recording() const { return recording_; }
+  void set_recording(bool on) {
+    if (on && !recording_) reset();
+    recording_ = on;
+  }
+
   /// Record that `bytes` were sent/delivered at `now`. Inline: this runs
   /// (for two estimators) on every send and every ACK, and must stay a
   /// handful of stores. Expiry is deferred to rate_bps(); the ring-full
   /// fold below bounds memory regardless of how stale the window gets.
   void on_bytes(uint64_t bytes, TimePoint now) {
+    if (!recording_) return;
     if (count() == capacity_) pop_front_into_anchor();  // ring full: fold oldest
-    events_[tail_ & (capacity_ - 1)] = {now, bytes};
+    events_[tail_ & (capacity_ - 1)] = {now.nanos(), bytes};
     ++tail_;
     bytes_in_window_ += bytes;
     total_bytes_ += bytes;
@@ -75,7 +92,8 @@ class RateEstimator {
   /// flight when the record lands.
   const void* write_pos() const { return &events_[tail_ & (capacity_ - 1)]; }
 
-  /// Total bytes recorded since construction (monotone counter).
+  /// Total bytes recorded since construction (monotone counter; bytes
+  /// dropped while paused are not counted).
   uint64_t total_bytes() const { return total_bytes_; }
 
   void reset();
@@ -95,8 +113,10 @@ class RateEstimator {
   static constexpr size_t kDefaultCapacity = 512;
 
  private:
+  // Plain integers, not TimePoint: a trivially default-constructible
+  // event lets the ring be allocated uninitialized.
   struct Event {
-    TimePoint time;
+    int64_t time_ns;
     uint64_t bytes;
   };
 
@@ -107,17 +127,21 @@ class RateEstimator {
   void pop_front_into_anchor() const {
     const Event& ev = front();
     bytes_in_window_ -= ev.bytes;
-    anchor_time_ = ev.time;
+    anchor_time_ = TimePoint::from_nanos(ev.time_ns);
     anchor_valid_ = true;
     ++head_;
   }
   void expire(TimePoint now) const;
 
+  // The latch and the ring's address/indices sit in the object's first
+  // bytes: the flow's prefetch pipeline reads them from the line it has
+  // already fetched for the estimator object itself.
   Duration window_;
   size_t capacity_ = kDefaultCapacity;  // power of two, set at construction
+  bool recording_ = true;
+  std::unique_ptr<Event[]> events_;  // ring storage, sized once, uninitialized
   // mutable: expire() trims history from const accessors.
-  mutable std::vector<Event> events_;  // ring storage, sized once
-  mutable uint64_t head_ = 0;          // monotone ring indices
+  mutable uint64_t head_ = 0;  // monotone ring indices
   mutable uint64_t tail_ = 0;
   mutable uint64_t bytes_in_window_ = 0;
   // Time of the most recently expired event: once events start aging

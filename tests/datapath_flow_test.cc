@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "builtin_installs.hpp"
 #include "datapath/flow.hpp"
 #include "lang/error.hpp"
 
@@ -384,6 +385,220 @@ TEST(CcpFlowWatchdog, DisabledByDefault) {
     control { Cwnd($c); WaitRtts(1.0); Report(); }
   )", {"c"}, {40000.0}), at_ms(0));
   for (int ms = 1; ms <= 10000; ms += 10) flow.on_ack(ack_at(at_ms(ms)));
+  EXPECT_FALSE(flow.in_fallback());
+}
+
+// --- rate recording latch ---
+
+ipc::InstallMsg to_install_msg(const test_support::RecordedInstall& rec) {
+  ipc::InstallMsg msg = install_msg(1, rec.text);
+  for (const auto& [name, value] : rec.vars) {
+    msg.var_names.push_back(name);
+    msg.var_values.push_back(value);
+  }
+  msg.vector_mode = rec.vector_mode;
+  return msg;
+}
+
+/// The recorded install of `algorithm` (a registry name, or "bbr ProbeBW").
+ipc::InstallMsg builtin_install(const std::string& algorithm) {
+  for (const auto& rec : test_support::builtin_installs()) {
+    if (rec.algorithm == algorithm) return to_install_msg(rec);
+  }
+  ADD_FAILURE() << "no built-in install for " << algorithm;
+  return {};
+}
+
+/// What the latch must say for the flow's installed program.
+void expect_latch_matches_program(const CcpFlow& flow, const std::string& what) {
+  const lang::CompiledProgram* prog = flow.fold().program();
+  ASSERT_NE(prog, nullptr) << what;
+  EXPECT_EQ(flow.snd_rate().recording(),
+            flow.vector_mode() || prog->reads_pkt_field(lang::PktField::SndRateBps))
+      << what;
+  EXPECT_EQ(flow.rcv_rate().recording(),
+            flow.vector_mode() || prog->reads_pkt_field(lang::PktField::RcvRateBps))
+      << what;
+}
+
+TEST(RateRecording, LatchFollowsEveryBuiltinProgram) {
+  SinkLog log;
+  {
+    CcpFlow flow(1, config(), log.sink());
+    expect_latch_matches_program(flow, "default");
+    EXPECT_TRUE(flow.snd_rate().recording());
+    EXPECT_TRUE(flow.rcv_rate().recording());
+  }
+  {
+    FlowConfig cfg = config();
+    cfg.agent_timeout = Duration::from_millis(50);
+    CcpFlow flow(1, cfg, log.sink());
+    flow.install(builtin_install("bbr"), at_ms(0));
+    for (int ms = 1; ms <= 80; ++ms) flow.on_ack(ack_at(at_ms(ms)));
+    ASSERT_TRUE(flow.in_fallback());
+    expect_latch_matches_program(flow, "fallback");
+    EXPECT_FALSE(flow.snd_rate().recording());
+    EXPECT_FALSE(flow.rcv_rate().recording());
+  }
+  for (const auto& rec : test_support::builtin_installs()) {
+    const std::string& name = rec.algorithm;
+    const ipc::InstallMsg msg = to_install_msg(rec);
+    CcpFlow flow(1, config(), log.sink());
+    flow.install(msg, at_ms(0));
+    EXPECT_EQ(flow.vector_mode(), msg.vector_mode) << name;
+    expect_latch_matches_program(flow, name);
+    // The latch follows vector-mode switches too.
+    flow.set_vector_mode(!msg.vector_mode);
+    expect_latch_matches_program(flow, name + " (vector mode switched)");
+  }
+  // Spot checks against the program texts themselves.
+  for (const char* name : {"reno", "cubic", "dctcp"}) {
+    CcpFlow flow(1, config(), log.sink());
+    flow.install(builtin_install(name), at_ms(0));
+    EXPECT_FALSE(flow.snd_rate().recording()) << name;
+    EXPECT_FALSE(flow.rcv_rate().recording()) << name;
+  }
+  CcpFlow probe_bw(1, config(), log.sink());
+  probe_bw.install(builtin_install("bbr ProbeBW"), at_ms(0));
+  EXPECT_FALSE(probe_bw.snd_rate().recording());
+  EXPECT_TRUE(probe_bw.rcv_rate().recording());
+}
+
+TEST(RateRecording, WindowProgramsRecordNothing) {
+  for (const char* name : {"reno", "cubic", "dctcp"}) {
+    SinkLog log;
+    CcpFlow flow(1, config(), log.sink());
+    flow.install(builtin_install(name), at_ms(0));
+    for (int i = 1; i <= 200; ++i) {
+      const TimePoint now = at_ms(0) + Duration::from_micros(100 * i);
+      flow.on_send(SendEvent{now, 1000});
+      flow.on_ack(ack_at(now));
+    }
+    LossEvent loss;
+    loss.now = at_ms(25);
+    loss.lost_packets = 1;
+    flow.on_loss(loss);
+    EXPECT_EQ(flow.snd_rate().total_bytes(), 0u) << name;
+    EXPECT_EQ(flow.rcv_rate().total_bytes(), 0u) << name;
+    EXPECT_EQ(flow.last_pkt().snd_rate_bps, 0.0) << name;
+    EXPECT_EQ(flow.last_pkt().rcv_rate_bps, 0.0) << name;
+    EXPECT_FALSE(log.urgents.empty()) << name << ": the loss still folds";
+  }
+  // A loss right after switching away from a rate reader reports 0, not
+  // the paused estimators' stale history.
+  SinkLog log;
+  CcpFlow flow(1, config(), log.sink());
+  for (int ms = 1; ms <= 20; ++ms) {
+    flow.on_send(SendEvent{at_ms(ms), 1000});
+    flow.on_ack(ack_at(at_ms(ms)));
+  }
+  ASSERT_GT(flow.last_pkt().snd_rate_bps, 0.0);
+  flow.install(builtin_install("reno"), at_ms(20));
+  LossEvent loss;
+  loss.now = at_ms(21);
+  loss.lost_packets = 1;
+  flow.on_loss(loss);
+  EXPECT_EQ(flow.last_pkt().snd_rate_bps, 0.0);
+  EXPECT_EQ(flow.last_pkt().rcv_rate_bps, 0.0);
+}
+
+/// Feeds `flow` sends and ACKs (1 ms apart, one 30 ms gap so history
+/// expires) plus a loss, checking every packet view's rates against
+/// standalone estimators fed the same events. A paused estimator must
+/// report 0. The flow's rate window settles at the constant 10 ms RTT on
+/// its first ACK, so the references use that window from the start.
+void expect_rates_match_reference(CcpFlow& flow, TimePoint start,
+                                  const std::string& what) {
+  RateEstimator ref_snd(Duration::from_millis(10));
+  RateEstimator ref_rcv(Duration::from_millis(10));
+  const bool snd = flow.snd_rate().recording();
+  const bool rcv = flow.rcv_rate().recording();
+  ASSERT_TRUE(snd || rcv) << what;
+  TimePoint now = start;
+  for (int i = 1; i <= 120; ++i) {
+    now = now + Duration::from_micros(i == 60 ? 30'000 : 1'000);
+    const uint64_t bytes = 1000 + 100 * static_cast<uint64_t>(i % 7);
+    flow.on_send(SendEvent{now, bytes});
+    flow.on_ack(ack_at(now, bytes));
+    ref_snd.on_bytes(bytes, now);
+    ref_rcv.on_bytes(bytes, now);
+    EXPECT_EQ(flow.last_pkt().snd_rate_bps, snd ? ref_snd.rate_bps_cached(now) : 0.0)
+        << what << " ack " << i;
+    EXPECT_EQ(flow.last_pkt().rcv_rate_bps, rcv ? ref_rcv.rate_bps_cached(now) : 0.0)
+        << what << " ack " << i;
+    if (i == 90) {
+      LossEvent loss;
+      loss.now = now;
+      loss.lost_packets = 1;
+      flow.on_loss(loss);
+      EXPECT_EQ(flow.last_pkt().snd_rate_bps, snd ? ref_snd.rate_bps(now) : 0.0)
+          << what << " loss";
+      EXPECT_EQ(flow.last_pkt().rcv_rate_bps, rcv ? ref_rcv.rate_bps(now) : 0.0)
+          << what << " loss";
+    }
+  }
+  EXPECT_GT(snd ? flow.last_pkt().snd_rate_bps : flow.last_pkt().rcv_rate_bps, 0.0)
+      << what;
+}
+
+TEST(RateRecording, ObservedRatesMatchStandaloneEstimator) {
+  SinkLog log;
+  {
+    CcpFlow flow(1, config(), log.sink());
+    expect_rates_match_reference(flow, at_ms(0), "default");
+  }
+  {
+    CcpFlow flow(1, config(), log.sink());
+    flow.install(builtin_install("bbr"), at_ms(0));
+    expect_rates_match_reference(flow, at_ms(0), "bbr Startup");
+  }
+  {
+    CcpFlow flow(1, config(), log.sink());
+    flow.install(builtin_install("bbr ProbeBW"), at_ms(0));
+    expect_rates_match_reference(flow, at_ms(0), "bbr ProbeBW");
+  }
+  {
+    // A program that reads neither rate: vector samples alone keep both
+    // estimators recording.
+    CcpFlow flow(1, config(), log.sink());
+    ipc::InstallMsg msg = install_msg(1, "control { WaitRtts(1.0); Report(); }");
+    msg.vector_mode = true;
+    flow.install(msg, at_ms(0));
+    expect_rates_match_reference(flow, at_ms(0), "vector mode");
+    ASSERT_FALSE(log.reports.empty());
+  }
+}
+
+TEST(RateRecording, ResumeStartsFromEmptyHistory) {
+  SinkLog log;
+  FlowConfig cfg = config();
+  // Longer than the whole post-resume run below, so the watchdog does not
+  // fire a second time.
+  cfg.agent_timeout = Duration::from_millis(200);
+  CcpFlow flow(1, cfg, log.sink());
+  const ipc::InstallMsg bbr = builtin_install("bbr");
+  flow.install(bbr, at_ms(0));
+  // The agent goes silent: the watchdog swaps in the fallback program,
+  // which reads no rate, and both estimators pause.
+  for (int ms = 1; ms <= 230; ++ms) {
+    flow.on_send(SendEvent{at_ms(ms), 1000});
+    flow.on_ack(ack_at(at_ms(ms)));
+  }
+  ASSERT_TRUE(flow.in_fallback());
+  const uint64_t snd_before = flow.snd_rate().total_bytes();
+  const uint64_t rcv_before = flow.rcv_rate().total_bytes();
+  EXPECT_GT(snd_before, 0u);
+  for (int ms = 231; ms <= 250; ++ms) {
+    flow.on_send(SendEvent{at_ms(ms), 1000});
+    flow.on_ack(ack_at(at_ms(ms)));
+  }
+  EXPECT_EQ(flow.snd_rate().total_bytes(), snd_before);
+  EXPECT_EQ(flow.rcv_rate().total_bytes(), rcv_before);
+  // The agent returns and reinstalls BBR: the rates it sees are those of
+  // a fresh estimator fed only the post-resume events.
+  flow.install(bbr, at_ms(250));
+  EXPECT_FALSE(flow.in_fallback());
+  expect_rates_match_reference(flow, at_ms(250), "bbr after fallback");
   EXPECT_FALSE(flow.in_fallback());
 }
 

@@ -85,7 +85,9 @@ TEST(Runner, StoppedFlowGoesQuietButKeepsItsStats) {
   EXPECT_GT(stopped.throughput_mbps, 0.0);
   // After the stop (allowing one RTT of drain), the flow delivers nothing.
   for (const util::SeriesPoint& p : stopped.tput_mbps) {
-    if (p.t_secs > 3.0) EXPECT_DOUBLE_EQ(p.value, 0.0) << "t=" << p.t_secs;
+    if (p.t_secs > 3.0) {
+      EXPECT_DOUBLE_EQ(p.value, 0.0) << "t=" << p.t_secs;
+    }
   }
   // The survivor takes over the link.
   EXPECT_GT(card.flows[1].throughput_mbps, stopped.throughput_mbps);

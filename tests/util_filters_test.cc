@@ -121,5 +121,38 @@ TEST(RateEstimator, WindowAdjustable) {
   EXPECT_EQ(r.window(), Duration::from_millis(5));
 }
 
+TEST(RateEstimator, PausedDropsEventsAndResumesEmpty) {
+  RateEstimator r(Duration::from_millis(100));
+  const TimePoint t = TimePoint::epoch();
+  for (int i = 0; i <= 10; ++i) r.on_bytes(1000, t + Duration::from_millis(i));
+  r.set_recording(false);
+  EXPECT_FALSE(r.recording());
+  r.on_bytes(5000, t + Duration::from_millis(11));
+  EXPECT_EQ(r.total_bytes(), 11000u);
+  // Pausing again is a no-op; resuming forgets the pre-pause history.
+  r.set_recording(false);
+  r.set_recording(true);
+  RateEstimator fresh(Duration::from_millis(100));
+  for (int i = 20; i <= 25; ++i) {
+    r.on_bytes(700, t + Duration::from_millis(i));
+    fresh.on_bytes(700, t + Duration::from_millis(i));
+  }
+  EXPECT_EQ(r.rate_bps(t + Duration::from_millis(25)),
+            fresh.rate_bps(t + Duration::from_millis(25)));
+  EXPECT_GT(r.rate_bps(t + Duration::from_millis(25)), 0.0);
+}
+
+TEST(RateEstimator, SameCapacityReinitKeepsRing) {
+  RateEstimator r(Duration::from_millis(100), 64);
+  const void* ring = r.write_pos();
+  for (int i = 0; i < 200; ++i) r.on_bytes(10, TimePoint::from_nanos(i));
+  r.reinit(Duration::from_millis(10), 64);
+  EXPECT_EQ(r.write_pos(), ring);
+  EXPECT_EQ(r.total_bytes(), 0u);
+  EXPECT_EQ(r.window(), Duration::from_millis(10));
+  r.reinit(Duration::from_millis(10), 128);
+  EXPECT_EQ(r.capacity(), 128u);
+}
+
 }  // namespace
 }  // namespace ccp
