@@ -10,10 +10,10 @@
 //
 // The headline configuration drives the per-ACK scalar API (the number
 // the committed ratchet compares against). A batch-intake run rides
-// along in each trial — the same workload in bursts of 32 through the
-// cross-flow batch runner (on_ack_batch), the intake a GRO/poll-mode
-// stack provides — so the JSON carries the measured batch/scalar ratio
-// and the wave occupancy (docs/PERF.md "Batch execution").
+// along in each trial — the same workload in bursts of 32 through
+// on_ack_batch (prefetch sweeps, then the scalar per-ACK calls), the
+// intake a GRO/poll-mode stack provides — so the JSON carries the
+// measured batch/scalar ratio (docs/PERF.md "Burst intake").
 //
 // The full datapath runs in several configurations: with the telemetry
 // layer recording (the default, "instrumented"), with telemetry disabled
@@ -144,8 +144,8 @@ RunResult drive(Datapath& dp, ipc::Transport& dp_end, agent::CcpAgent& agent,
 }
 
 /// Same workload as drive(), but handed to the datapath in bursts of 32
-/// FlowAcks through on_ack_batch — the cross-flow batch intake a
-/// GRO/poll-mode stack feeds. Ticks and IPC pumps keep the scalar
+/// FlowAcks through on_ack_batch — the burst intake a GRO/poll-mode
+/// stack feeds. Ticks and IPC pumps keep the scalar
 /// cadence (every 256 ACKs) so the agent sees identical traffic.
 template <typename Datapath>
 RunResult drive_batch(Datapath& dp, ipc::Transport& dp_end,
@@ -202,7 +202,7 @@ RunResult drive_batch(Datapath& dp, ipc::Transport& dp_end,
     }
   };
 
-  run(total_acks / 10);  // warm-up: programs installed, SoA staging sized
+  run(total_acks / 10);  // warm-up: programs installed, caches warm
   const TimePoint t0 = monotonic_now();
   const double c0 = thread_cpu_secs();
   run(total_acks);
@@ -737,29 +737,12 @@ int main(int argc, char** argv) {
     std::sort(batch_trials.begin(), batch_trials.end());
     batch_speedup = batch_trials[batch_trials.size() / 2];
   }
-  double batch_lanes_per_wave = 0.0;
-  double batch_simd_share_pct = 0.0;
-  {
-    const auto& m = telemetry::metrics();
-    const uint64_t waves = m.dp_batch_waves.value();
-    const uint64_t lanes = m.dp_batch_lanes_sum.value();
-    const uint64_t simd = m.dp_batch_simd_lanes.value();
-    if (waves > 0) {
-      batch_lanes_per_wave =
-          static_cast<double>(lanes) / static_cast<double>(waves);
-    }
-    if (lanes > 0) {
-      batch_simd_share_pct =
-          100.0 * static_cast<double>(simd) / static_cast<double>(lanes);
-    }
-    // On the fold-light default program the batch intake lands near
-    // parity: the packed kernel wins ~3.5x on the fold stage, but the
-    // fold is only ~a third of the per-ACK budget and SoA staging costs
-    // about what the kernel saves (Amdahl analysis in docs/PERF.md).
-    std::printf("  batch vs scalar intake %.2fx (median of paired CPU-time "
-                "trials); occupancy %.1f lanes/wave, %.0f%% SIMD lanes\n",
-                batch_speedup, batch_lanes_per_wave, batch_simd_share_pct);
-  }
+  // A 64-flow working set stays cache-resident, so the intake's
+  // prefetch sweeps have nothing to hide here; the ratio, a little
+  // under 1x, is their cost (docs/PERF.md "Burst intake").
+  std::printf("  batch vs scalar intake %.2fx (median of paired CPU-time "
+              "trials)\n",
+              batch_speedup);
   const double rep_p50_us =
       telemetry::metrics().report_latency_ns.quantile(0.5) / 1e3;
   const double rep_p99_us =
@@ -981,8 +964,6 @@ int main(int argc, char** argv) {
        {proto_key, bench::json_num(proto.acks_per_sec)},
        {"batch_acks_per_sec", bench::json_num(batch_best.acks_per_sec)},
        {"batch_speedup", bench::json_num(batch_speedup)},
-       {"batch_lanes_per_wave", bench::json_num(batch_lanes_per_wave)},
-       {"batch_simd_share_pct", bench::json_num(batch_simd_share_pct)},
        {"full_acks_per_sec_stripped", bench::json_num(stripped.acks_per_sec)},
        {"telemetry_overhead_pct", bench::json_num(overhead_pct)},
        {"watchdog_acks_per_sec", bench::json_num(watchdog.acks_per_sec)},
@@ -998,9 +979,10 @@ int main(int argc, char** argv) {
         "wall clock); batch_acks_per_sec is the same workload in bursts of 32 "
         "through on_ack_batch. All *_overhead_pct and batch_speedup ratios are "
         "medians of per-trial thread-CPU-time comparisons (telemetry as an "
-        "ABBA quad) so container preemption and frequency drift cancel — "
-        "batch lands near parity on the fold-light default program (SoA "
-        "staging offsets the packed-kernel fold win; see docs/PERF.md)\""}});
+        "ABBA quad) so container preemption and frequency drift cancel. "
+        "on_ack_batch is prefetch sweeps plus the scalar per-ACK calls; on "
+        "this cache-resident 64-flow set the sweeps hide nothing, so "
+        "batch_speedup reads a little under 1x\""}});
   bench::update_json_section(
       bench::bench_json_path(), "jit",
       {{"available", bench::json_num(lang::jit::available() ? 1.0 : 0.0)},
@@ -1024,8 +1006,12 @@ int main(int argc, char** argv) {
        {"shards_2_wall_acks_per_sec", bench::json_num(scaling[1].wall_acks_per_sec)},
        {"shards_4_wall_acks_per_sec", bench::json_num(scaling[2].wall_acks_per_sec)},
        {"shards_8_wall_acks_per_sec", bench::json_num(scaling[3].wall_acks_per_sec)},
+       // With fewer cores than shards the CPU-time aggregate measures sync
+       // overhead, not speedup: n/a rather than a number that reads as one.
        {"speedup_4_shards",
-        bench::json_num(scaling[2].cpu_acks_per_sec / scaling[0].cpu_acks_per_sec)},
+        hw_cores < 4 ? std::string("\"n/a\"")
+                     : bench::json_num(scaling[2].cpu_acks_per_sec /
+                                       scaling[0].cpu_acks_per_sec)},
        {"wall_speedup_4_shards",
         bench::json_num(scaling[0].wall_acks_per_sec > 0
                             ? scaling[2].wall_acks_per_sec /
@@ -1038,7 +1024,8 @@ int main(int argc, char** argv) {
         "on CLOCK_THREAD_CPUTIME_ID): it measures per-shard sync overhead, "
         "not parallel capacity, and can approach n_shards even on one core. "
         "wall_speedup_4_shards is the wall-clock ratio and is the honest "
-        "parallelism number; expect ~1x when hw_cores < shards\""}});
+        "parallelism number; expect ~1x when hw_cores < shards. "
+        "speedup_4_shards reads n/a when hw_cores < 4\""}});
   bench::update_json_section(
       bench::bench_json_path(), "churn",
       {{"resident_flows", bench::json_num(static_cast<double>(resident_flows))},
@@ -1158,16 +1145,10 @@ int main(int argc, char** argv) {
                 "(instrumented %.3g vs stripped %.3g ACKs/sec)\n",
                 overhead_pct, kTelemetryMaxOverheadPct, full.acks_per_sec,
                 stripped.acks_per_sec);
-    // Batch intake no-pathology guard. On the fold-light default program
-    // the grouped path is near scalar parity (the ~3.5x packed-kernel
-    // fold win is offset by SoA staging on a fold that is only ~a third
-    // of the per-ACK budget — docs/PERF.md works the Amdahl math), so the
-    // gate catches regressions in the batch machinery itself rather than
-    // demanding a speedup this workload cannot show: the grouped path
-    // must stay within 25% of scalar, waves must fill, and eligible
-    // lanes must actually take the packed kernel. Builds without packed
-    // kernels (non-x86-64, -DCCP_ENABLE_SIMD=OFF) batch the intake but
-    // fold per lane; only the floor applies there.
+    // Batch intake no-pathology guard: on_ack_batch runs the scalar
+    // per-ACK calls behind its prefetch sweeps, so on this cache-resident
+    // 64-flow set it must stay within 25% of the scalar API — a floor
+    // that catches a broken intake, not a claimed speedup.
     constexpr double kBatchMinSpeedup = 0.75;
     if (batch_speedup < kBatchMinSpeedup) {
       std::fprintf(stderr,
@@ -1180,25 +1161,6 @@ int main(int argc, char** argv) {
     std::printf("[enforce] ok: batch intake = %.2fx scalar API "
                 "(floor %.2fx)\n",
                 batch_speedup, kBatchMinSpeedup);
-    if (lang::jit::simd_available()) {
-      constexpr double kBatchMinLanesPerWave = 8.0;
-      constexpr double kBatchMinSimdSharePct = 90.0;
-      if (batch_lanes_per_wave < kBatchMinLanesPerWave ||
-          batch_simd_share_pct < kBatchMinSimdSharePct) {
-        std::fprintf(stderr,
-                     "[enforce] FAIL: batch occupancy %.1f lanes/wave, "
-                     "%.0f%% SIMD lanes (need >= %.0f and >= %.0f%%)\n",
-                     batch_lanes_per_wave, batch_simd_share_pct,
-                     kBatchMinLanesPerWave, kBatchMinSimdSharePct);
-        return 1;
-      }
-      std::printf("[enforce] ok: batch occupancy %.1f lanes/wave, "
-                  "%.0f%% SIMD lanes\n",
-                  batch_lanes_per_wave, batch_simd_share_pct);
-    } else {
-      std::printf("[enforce] no packed batch kernels in this build; "
-                  "skipping batch occupancy gate\n");
-    }
     // Native lowering must actually buy something: >= 1.3x over the
     // interpreter on the fold-heavy program. Both rates come from the
     // same interleaved A/B in this run, so the ratio is drift-immune.

@@ -13,7 +13,7 @@
 #include <span>
 #include <vector>
 
-#include "datapath/ack_batch.hpp"
+#include "datapath/events.hpp"
 #include "datapath/flow.hpp"
 #include "datapath/flow_table.hpp"
 #include "ipc/wire.hpp"
@@ -83,17 +83,14 @@ class CcpDatapath {
   /// sequence with no call overhead.
   CcpFlow* flow(ipc::FlowId id) { return flows_.find(id); }
 
-  /// Feeds a whole burst of ACKs through the cross-flow batch runner:
-  /// behaviorally equivalent to the per-ACK on_send/on_ack sequence in
-  /// arrival order (same messages, same bytes), but same-program flows
-  /// fold in grouped batch calls — packed SIMD where the program is
-  /// eligible. See datapath/ack_batch.hpp for the peeling rules. Each
-  /// call also pumps one bounded incremental-rehash step when a flow-
-  /// index grow is draining, so table growth never stalls a burst.
-  void on_ack_batch(std::span<const FlowAck> burst) {
-    if (flows_.rehash_pending()) [[unlikely]] pump_rehash();
-    batch_runner_.run(*this, burst);
-  }
+  /// Feeds a whole burst of ACKs: exactly the per-ACK on_send (when
+  /// sent_bytes > 0) then on_ack sequence in arrival order (same messages,
+  /// same bytes), with the flow lookups and the flows' cache lines
+  /// prefetched a chunk ahead so cold flows' misses overlap. Unknown flow
+  /// ids are skipped. Each call also pumps one bounded incremental-rehash
+  /// step when a flow-index grow is draining, so table growth never
+  /// stalls a burst.
+  void on_ack_batch(std::span<const FlowAck> burst);
 
   /// Feeds one frame from the agent. Malformed frames and bad programs
   /// are counted and dropped — never fatal (§5).
@@ -171,7 +168,7 @@ class CcpDatapath {
   std::vector<ipc::Message> rx_scratch_;
   bool rx_busy_ = false;
 
-  AckBatchRunner batch_runner_;
+  uint32_t burst_stamp_ = 0;  // FlowTable::find_mark prefetch dedup (0 reserved)
 
   DatapathStats stats_;
   telemetry::ShardStats* shard_stats_ = nullptr;  // sharded mode only

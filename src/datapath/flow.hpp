@@ -88,9 +88,9 @@ using MessageSink = std::function<void(const ipc::Message&, bool urgent)>;
 
 /// The flow state the per-ACK path actually touches, split out of CcpFlow
 /// so it packs into ~two cache lines regardless of how much cold
-/// configuration/resync state the flow carries. The cross-flow batch
-/// runner (datapath/ack_batch.cc) leans on this: a wave of ACKs walks one
-/// hot block + PktInfo per flow instead of dragging whole CcpFlow objects
+/// configuration/resync state the flow carries. The FlowTable keeps these
+/// blocks in their own slab, so the per-ACK path touches one compact
+/// block per flow instead of dragging whole CcpFlow objects
 /// (rate-estimator rings included) through cache.
 struct FlowHot {
   // Enforcement state (primitives (1) and (2) of §2.1).
@@ -117,17 +117,6 @@ struct FlowHot {
   // report/tick/close time — one atomic RMW per interval instead of a
   // lock-prefixed add on every ACK of the hot path.
   uint64_t acks_seen = 0;
-
-  // Id of the batch wave that last claimed this flow: a second ACK for
-  // the same flow inside one burst must not share a wave (its fold reads
-  // the first ACK's writes), so the runner flushes on a repeat.
-  uint64_t batch_epoch = 0;
-
-  // Cached batch execution class (see BatchExec). Recomputed on every
-  // install and vector-mode switch — the only transitions that change
-  // it — so the batch runner classifies a lane with one byte load plus
-  // the per-ACK gates (watchdog deadline, profiler sampling).
-  BatchExec exec_class = BatchExec::Peel;
 };
 
 class CcpFlow final : public CcModule {
@@ -193,23 +182,8 @@ class CcpFlow final : public CcModule {
   }
   bool vector_mode() const { return hot_->vector_mode; }
 
-  // --- cross-flow batch execution surface (datapath/ack_batch.cc) ---
+  // --- burst intake prefetch (CcpDatapath::on_ack_batch) ---
 
-  /// First half of on_ack: measurement update, report/fold counters, and
-  /// the watchdog gate, leaving the ACK's fields in last_pkt(). The batch
-  /// runner calls this for every batch lane at intake, folds whole groups
-  /// through one kernel call, then completes each lane with ack_finish().
-  /// ack_prepare(ev) + fold + ack_finish(urgent, ev.now) is behaviorally
-  /// identical to on_ack(ev).
-  void ack_prepare(const AckEvent& ev);
-  /// Second half of on_ack: urgent damping/emission and the control gate.
-  /// `urgent` is the fold's urgent-register-changed verdict for this ACK.
-  void ack_finish(bool urgent, TimePoint now);
-  /// Mutable hot block / fold machine / packet view for the runner's
-  /// struct-of-arrays gather and scatter.
-  FlowHot& hot() { return *hot_; }
-  lang::FoldMachine& fold_machine() { return fold_; }
-  const lang::PktInfo& last_pkt() const { return last_pkt_; }
   /// Stage-one prefetch: the flow object's own cache lines. Every address
   /// here is `this` plus a compile-time offset — no field is read — so a
   /// completely cold flow costs no stall to prefetch. Covers the lines
@@ -237,17 +211,18 @@ class CcpFlow final : public CcModule {
   }
   /// Stage-two prefetch: the lines *behind* the flow's pointers — hot
   /// block, the write positions of the estimator rings that record, fold
-  /// state. These require reading fields of the flow, so the batch runner
+  /// state. These require reading fields of the flow, so the burst intake
   /// calls this only after prefetch_self()'s lines have had a few ACKs'
   /// worth of work to arrive; a cold (Zipf-tail) flow's dependent misses
-  /// then overlap earlier lanes instead of serializing in front of its
+  /// then overlap earlier ACKs instead of serializing in front of its
   /// own. A paused estimator's ring is never written, so fetching its
-  /// line would only evict a useful one.
+  /// line would only evict a useful one. GCC finds this body free of
+  /// side effects and deletes calls to it (docs/PERF.md "Burst intake").
   void prefetch_for_ack() {
     __builtin_prefetch(hot_, 1);
     if (snd_rate_.recording()) __builtin_prefetch(snd_rate_.write_pos(), 1);
     if (rcv_rate_.recording()) __builtin_prefetch(rcv_rate_.write_pos(), 1);
-    __builtin_prefetch(fold_.state_data(), 1);
+    __builtin_prefetch(fold_.state().data(), 1);
     __builtin_prefetch(fold_.vars_data());
   }
 
@@ -259,6 +234,8 @@ class CcpFlow final : public CcModule {
   bool in_fallback() const { return in_fallback_; }
   Duration srtt() const;
   const lang::FoldMachine& fold() const { return fold_; }
+  /// The packet view the most recent event filled (the fold's input).
+  const lang::PktInfo& last_pkt() const { return last_pkt_; }
   /// Sending / delivery rate estimators (recording only while the
   /// installed program or vector mode reads them).
   const RateEstimator& snd_rate() const { return snd_rate_; }
@@ -288,7 +265,7 @@ class CcpFlow final : public CcModule {
   /// collects cost one predictable branch each when sampling is off.
   void fold_event(TimePoint now, telemetry::ProfSample* ps = nullptr);
   /// Measurement half of an ACK (cwnd ramp, srtt, delivery rate, packet
-  /// view, vector sample) — shared verbatim by on_ack and ack_prepare.
+  /// view, vector sample).
   void measure_ack(const AckEvent& ev);
   /// Per-ACK staleness gate, reduced to a single time compare: the
   /// precise threshold (agent_timeout floor, k smoothed RTTs) is folded
@@ -316,18 +293,11 @@ class CcpFlow final : public CcModule {
             : TimePoint::max();
   }
   /// Re-derives the per-ACK latches that depend only on the installed
-  /// program and vector mode: hot_->exec_class (from the fold machine's
-  /// install-time latches) and whether each rate estimator records — it
+  /// program and vector mode: whether each rate estimator records — it
   /// does iff something can observe it (the program reads the field in
   /// any block, or vector samples carry it). Must run after every
   /// fold_.install and vector-mode change.
   void refresh_install_latches() {
-    hot_->exec_class = !fold_.installed() || hot_->vector_mode
-                          ? BatchExec::Peel
-                      : fold_.jit_verifying() ? BatchExec::Verify
-                      : fold_.batch_fn() != nullptr ? BatchExec::Simd
-                      : !fold_.jit_active() ? BatchExec::BatchInterp
-                                            : BatchExec::PerLane;
     snd_rate_.set_recording(program_reads(lang::PktField::SndRateBps));
     rcv_rate_.set_recording(program_reads(lang::PktField::RcvRateBps));
   }

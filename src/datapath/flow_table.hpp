@@ -12,8 +12,7 @@
 //               hot block lives at hot_chunks_[i >> shift][i & mask] for
 //               the life of the table — addresses are stable because
 //               chunks never move, so CcpFlow keeps a plain pointer and
-//               the batch runner's SoA gather reads straight out of the
-//               slab.
+//               the burst intake prefetches one compact block per flow.
 //
 //   cold slab   chunks of CcpFlow storage (config, estimator rings, fold
 //               machine, resync scratch). Constructed in place on first
@@ -174,8 +173,8 @@ class FlowTable {
   }
 
   /// Pulls the index bucket line(s) for `id` toward cache ahead of the
-  /// find() a few ACKs later — the batch runner's intake pipeline uses
-  /// this so a million-flow table probes mostly-warm lines.
+  /// find() a few ACKs later — CcpDatapath::on_ack_batch's intake sweeps
+  /// use this so a million-flow table probes mostly-warm lines.
   void prefetch(ipc::FlowId id) const {
     if (cur_.empty()) return;
     const uint64_t h = mix(id);

@@ -150,10 +150,9 @@ class Shard {
   /// Per-packet demux into this shard's flow table.
   CcpFlow* flow(ipc::FlowId id) { return dp_.flow(id); }
 
-  /// Batch intake for a burst of ACKs this shard owns (all flow ids must
-  /// route here). One runner per shard, owner-thread only — the batch
-  /// path inherits the shard's no-lock, zero-alloc contract by
-  /// construction. See datapath/ack_batch.hpp.
+  /// Burst intake for ACKs this shard owns (all flow ids must route
+  /// here). Owner-thread only — it inherits the shard's no-lock,
+  /// zero-alloc contract by construction. See CcpDatapath::on_ack_batch.
   void on_ack_batch(std::span<const FlowAck> burst) { dp_.on_ack_batch(burst); }
 
   /// The quiescent point between ACK batches: applies every command the

@@ -48,14 +48,6 @@ struct Instr {
   uint16_t c = 0;
 };
 
-/// Lane count of the cross-flow batch execution engines (vm.cc's
-/// eval_block_batch and the JIT's compile_block_batch). Both address
-/// struct-of-arrays matrices where row `r` of a register file occupies
-/// doubles [r*kBatchLanes, (r+1)*kBatchLanes): a fixed stride keeps every
-/// column offset a compile-time constant in the batch kernels, and 16
-/// lanes x 8 bytes = one 128-byte row = two cache lines per register.
-inline constexpr size_t kBatchLanes = 16;
-
 /// A compiled expression (or block of expressions): straight-line code
 /// plus its constant pool and the slot holding the final value.
 struct CodeBlock {

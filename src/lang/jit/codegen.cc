@@ -486,334 +486,6 @@ class BlockCompiler {
   size_t pool_patch_at_ = 0;
 };
 
-// Batch (cross-flow) lowering: one loop over lane pairs, every scalar
-// instruction mirrored by its packed-double twin. The struct-of-arrays
-// row stride is lang::kBatchLanes doubles (128 bytes), so element
-// (row r, lane l) of every matrix sits at [base + 128*r + 8*l] and the
-// loop variable r10 carries the 16-byte lane-pair offset. Constants are
-// duplicated into 16-byte pairs in the pool so one movupd broadcasts
-// them. There are no calls inside the kernel (helper-bearing programs
-// are rejected up front), so the only callee-saved register touched is
-// r15 and rsp alignment never matters.
-//
-// Fixed register plan (SysV args left in place; no calls to clobber them):
-//   rdi = fold SoA   rsi = pkt SoA   rdx = vars SoA   rcx = scratch SoA
-//   r8  = remaining lane pairs (loop counter)
-//   r10 = lane byte offset (+16 per iteration)
-//   r15 = const pool (movabs, patched by CodeRegion)
-class BatchBlockCompiler {
- public:
-  explicit BatchBlockCompiler(const CodeBlock& b) : b_(b) {
-    // Duplicate every constant into a 16-byte pair; koff() addresses the
-    // pair, and a single movupd fills both lanes.
-    pool_.reserve(2 * b.consts.size() + 4);
-    for (const double c : b.consts) {
-      pool_.push_back(c);
-      pool_.push_back(c);
-    }
-    off_negzero_ = static_cast<int32_t>(pool_.size() * 8);
-    pool_.push_back(-0.0);
-    pool_.push_back(-0.0);
-    off_one_ = static_cast<int32_t>(pool_.size() * 8);
-    pool_.push_back(1.0);
-    pool_.push_back(1.0);
-  }
-
-  std::optional<CompiledBlock> run() {
-    if (has_helper_call(b_)) return std::nullopt;  // no packed libm forms
-    prologue();
-    for (const Instr& in : b_.code) {
-      if (!lower(in)) return std::nullopt;
-    }
-    epilogue();
-    CompiledBlock out;
-    out.code = a_.code();
-    out.pool = std::move(pool_);
-    out.pool_patch_at = pool_patch_at_;
-    out.reg_cached = false;
-    return out;
-  }
-
- private:
-  /// Byte offset of SoA row `i` (stride kBatchLanes doubles).
-  static int32_t row(uint16_t i) {
-    return static_cast<int32_t>(i) * static_cast<int32_t>(kBatchLanes * 8);
-  }
-  /// Byte offset of const pair `i` in the pool.
-  int32_t koff(uint16_t i) const { return static_cast<int32_t>(i) * 16; }
-
-  void prologue() {
-    a_.push(R15);
-    pool_patch_at_ = a_.mov_ri64(R15, 0);  // patched at install
-    a_.test_rr(R8, R8);
-    jz_done_at_ = a_.jz_rel32();  // zero pairs: fall through to the exit
-    a_.xor_rr(R10, R10);
-    loop_top_ = a_.size();
-  }
-
-  void epilogue() {
-    a_.add_ri8(R10, 16);
-    a_.dec_r(R8);
-    const size_t jnz_at = a_.jnz_rel32();
-    a_.patch_rel32(jnz_at, loop_top_);
-    a_.patch_rel32(jz_done_at_, a_.size());
-    a_.pop(R15);
-    a_.ret();
-  }
-
-  /// temp xmm t = scratch slot s (both lanes of the pair).
-  void ld_slot(Xmm t, uint16_t s) { a_.movupd_load_idx(t, RCX, R10, row(s)); }
-  void st_slot(uint16_t s, Xmm t) { a_.movupd_store_idx(RCX, R10, row(s), t); }
-  /// temp xmm t = rhs operand: const pair (b_const) or scratch slot b.
-  void ld_rhs(Xmm t, uint16_t b, bool b_const) {
-    if (b_const) {
-      a_.movupd_load(t, R15, koff(b));
-    } else {
-      ld_slot(t, b);
-    }
-  }
-
-  using RR = void (Asm::*)(Xmm, Xmm);
-
-  void binop(RR rr, const Instr& in, bool b_const) {
-    ld_slot(0, in.a);
-    ld_rhs(1, in.b, b_const);
-    (a_.*rr)(0, 1);
-    st_slot(in.dst, 0);
-  }
-
-  /// Converts the all-ones/zero lane masks in xmm0 to 1.0/0.0 and stores.
-  void mask_to_bool_and_store(uint16_t dst) {
-    a_.movupd_load(1, R15, off_one_);
-    a_.andpd_rr(0, 1);
-    st_slot(dst, 0);
-  }
-
-  void cmp_op(const Instr& in, uint8_t pred, bool flip, bool b_const) {
-    if (!flip) {
-      ld_slot(0, in.a);
-      ld_rhs(1, in.b, b_const);
-    } else {
-      ld_rhs(0, in.b, b_const);
-      ld_slot(1, in.a);
-    }
-    a_.cmppd_rr(0, 1, pred);
-    mask_to_bool_and_store(in.dst);
-  }
-
-  /// dst = b == 0 ? 0 : a / b, per lane (same mask scheme as scalar).
-  void div_op(const Instr& in, bool b_const) {
-    ld_rhs(1, in.b, b_const);
-    a_.movapd_rr(2, 1);
-    a_.xorpd_rr(3, 3);
-    a_.cmppd_rr(2, 3, kCmpNeq);  // mask: b != 0 (NaN divisor -> true -> NaN out)
-    ld_slot(0, in.a);
-    a_.divpd_rr(0, 1);
-    a_.andpd_rr(0, 2);
-    st_slot(in.dst, 0);
-  }
-
-  /// dst = (1 - w) * s[a] + w * s[b]; same op order as the scalar form.
-  void ewma_op(const Instr& in, bool c_const) {
-    a_.movupd_load(0, R15, off_one_);
-    ld_rhs(1, in.c, c_const);  // w, kept live for the second product
-    a_.subpd_rr(0, 1);
-    ld_slot(2, in.a);
-    a_.mulpd_rr(0, 2);
-    ld_slot(2, in.b);
-    a_.mulpd_rr(1, 2);
-    a_.addpd_rr(0, 1);
-    st_slot(in.dst, 0);
-  }
-
-  /// Blend through the lane masks already in xmm0: dst = mask ? b : c.
-  void blend_and_store(const Instr& in) {
-    ld_slot(1, in.b);
-    a_.andpd_rr(1, 0);  // mask & b
-    ld_slot(2, in.c);
-    a_.andnpd_rr(0, 2);  // ~mask & c
-    a_.orpd_rr(0, 1);
-    st_slot(in.dst, 0);
-  }
-
-  bool lower(const Instr& in) {
-    switch (in.op) {
-      case OpCode::LoadConst:
-        a_.movupd_load(0, R15, koff(in.a));
-        st_slot(in.dst, 0);
-        return true;
-      case OpCode::LoadFold:
-        a_.movupd_load_idx(0, RDI, R10, row(in.a));
-        st_slot(in.dst, 0);
-        return true;
-      case OpCode::LoadPkt:
-        a_.movupd_load_idx(0, RSI, R10, row(in.a));
-        st_slot(in.dst, 0);
-        return true;
-      case OpCode::LoadVar:
-        a_.movupd_load_idx(0, RDX, R10, row(in.a));
-        st_slot(in.dst, 0);
-        return true;
-
-      case OpCode::Neg:
-        ld_slot(0, in.a);
-        a_.movupd_load(1, R15, off_negzero_);
-        a_.xorpd_rr(0, 1);
-        st_slot(in.dst, 0);
-        return true;
-      case OpCode::Not:
-        ld_slot(0, in.a);
-        a_.xorpd_rr(1, 1);
-        a_.cmppd_rr(0, 1, kCmpEq);
-        mask_to_bool_and_store(in.dst);
-        return true;
-      case OpCode::Sqrt:
-        ld_slot(1, in.a);
-        a_.xorpd_rr(2, 2);
-        a_.cmppd_rr(1, 2, kCmpLe);  // a <= 0 (unordered false: NaN -> sqrt)
-        ld_slot(0, in.a);
-        a_.sqrtpd_rr(0, 0);
-        a_.andnpd_rr(1, 0);
-        st_slot(in.dst, 1);
-        return true;
-      case OpCode::Abs:
-        a_.movupd_load(1, R15, off_negzero_);
-        ld_slot(0, in.a);
-        a_.andnpd_rr(1, 0);  // ~signbit & a
-        st_slot(in.dst, 1);
-        return true;
-
-      case OpCode::Log:
-      case OpCode::Exp:
-      case OpCode::Cbrt:
-      case OpCode::Pow:
-        return false;  // helper call: SIMD-ineligible (caught up front too)
-
-      case OpCode::Add:
-        binop(&Asm::addpd_rr, in, false);
-        return true;
-      case OpCode::Sub:
-        binop(&Asm::subpd_rr, in, false);
-        return true;
-      case OpCode::Mul:
-        binop(&Asm::mulpd_rr, in, false);
-        return true;
-      case OpCode::Div:
-        div_op(in, false);
-        return true;
-      case OpCode::Min:
-        binop(&Asm::minpd_rr, in, false);
-        return true;
-      case OpCode::Max:
-        binop(&Asm::maxpd_rr, in, false);
-        return true;
-
-      case OpCode::Lt:
-        cmp_op(in, kCmpLt, false, false);
-        return true;
-      case OpCode::Le:
-        cmp_op(in, kCmpLe, false, false);
-        return true;
-      case OpCode::Gt:
-        cmp_op(in, kCmpLt, true, false);
-        return true;
-      case OpCode::Ge:
-        cmp_op(in, kCmpLe, true, false);
-        return true;
-      case OpCode::Eq:
-        cmp_op(in, kCmpEq, false, false);
-        return true;
-      case OpCode::Ne:
-        cmp_op(in, kCmpNeq, false, false);
-        return true;
-      case OpCode::And:
-      case OpCode::Or:
-        ld_slot(0, in.a);
-        a_.xorpd_rr(2, 2);
-        a_.cmppd_rr(0, 2, kCmpNeq);  // a != 0 (NaN -> true, like C)
-        ld_slot(1, in.b);
-        a_.cmppd_rr(1, 2, kCmpNeq);
-        if (in.op == OpCode::And) {
-          a_.andpd_rr(0, 1);
-        } else {
-          a_.orpd_rr(0, 1);
-        }
-        mask_to_bool_and_store(in.dst);
-        return true;
-
-      case OpCode::Select:
-        ld_slot(0, in.a);
-        a_.xorpd_rr(1, 1);
-        a_.cmppd_rr(0, 1, kCmpNeq);  // mask: a != 0
-        blend_and_store(in);
-        return true;
-      case OpCode::SelGtz:
-        a_.xorpd_rr(0, 0);
-        ld_slot(1, in.a);
-        a_.cmppd_rr(0, 1, kCmpLt);  // mask: 0 < a (unordered false)
-        blend_and_store(in);
-        return true;
-      case OpCode::Ewma:
-        ewma_op(in, false);
-        return true;
-      case OpCode::StoreFold:
-        ld_slot(0, in.b);
-        a_.movupd_store_idx(RDI, R10, row(in.a), 0);
-        return true;
-
-      case OpCode::AddC:
-        binop(&Asm::addpd_rr, in, true);
-        return true;
-      case OpCode::SubC:
-        binop(&Asm::subpd_rr, in, true);
-        return true;
-      case OpCode::MulC:
-        binop(&Asm::mulpd_rr, in, true);
-        return true;
-      case OpCode::DivC:
-        div_op(in, true);
-        return true;
-      case OpCode::MinC:
-        binop(&Asm::minpd_rr, in, true);
-        return true;
-      case OpCode::MaxC:
-        binop(&Asm::maxpd_rr, in, true);
-        return true;
-      case OpCode::LtC:
-        cmp_op(in, kCmpLt, false, true);
-        return true;
-      case OpCode::LeC:
-        cmp_op(in, kCmpLe, false, true);
-        return true;
-      case OpCode::GtC:
-        cmp_op(in, kCmpLt, true, true);
-        return true;
-      case OpCode::GeC:
-        cmp_op(in, kCmpLe, true, true);
-        return true;
-      case OpCode::EqC:
-        cmp_op(in, kCmpEq, false, true);
-        return true;
-      case OpCode::NeC:
-        cmp_op(in, kCmpNeq, false, true);
-        return true;
-      case OpCode::EwmaC:
-        ewma_op(in, true);
-        return true;
-    }
-    return false;  // unknown opcode: decline, caller stays scalar
-  }
-
-  Asm a_;
-  const CodeBlock& b_;
-  std::vector<double> pool_;
-  int32_t off_negzero_ = 0;
-  int32_t off_one_ = 0;
-  size_t pool_patch_at_ = 0;
-  size_t loop_top_ = 0;
-  size_t jz_done_at_ = 0;
-};
-
 }  // namespace
 
 std::optional<CompiledBlock> compile_block(const CodeBlock& block) {
@@ -821,13 +493,6 @@ std::optional<CompiledBlock> compile_block(const CodeBlock& block) {
   // return 0") still get the standard prologue/epilogue so the const
   // pool patch site exists.
   return BlockCompiler(block).run();
-}
-
-std::optional<CompiledBlock> compile_block_batch(const CodeBlock& block) {
-  // An empty fold never reaches here in practice (FoldMachine::install
-  // skips the JIT for empty blocks), but an empty-body kernel is valid
-  // and harmless if it does.
-  return BatchBlockCompiler(block).run();
 }
 
 }  // namespace ccp::lang::jit

@@ -116,110 +116,7 @@ class Asm {
   void orpd_rr(Xmm d, Xmm s) { sse_rr(0x66, 0x56, d, s); }
   void xorpd_rr(Xmm d, Xmm s) { sse_rr(0x66, 0x57, d, s); }
 
-  // --- packed double SSE2 (the batch kernel's 2-wide lowering) ---
-  // Same opcode bytes as the F2 scalar forms under the 0x66 prefix.
-  // Loads/stores are movupd: the SoA rows are 16-byte-aligned in
-  // practice (kBatchLanes stride, aligned allocations), but the kernel
-  // must not fault if a caller hands it an 8-aligned buffer — and on
-  // every SSE2 core that runs this, movupd-on-aligned costs the same as
-  // movapd.
-
-  /// movupd xmm, [base + disp]
-  void movupd_load(Xmm dst, Gpr base, int32_t disp) { sse_rm(0x66, 0x10, dst, base, disp); }
-  /// movupd [base + disp], xmm
-  void movupd_store(Gpr base, int32_t disp, Xmm src) { sse_rm(0x66, 0x11, src, base, disp); }
-  /// movupd xmm, [base + index + disp] (scale 1; index must not be rsp)
-  void movupd_load_idx(Xmm dst, Gpr base, Gpr index, int32_t disp) {
-    sse_rm_idx(0x66, 0x10, dst, base, index, disp);
-  }
-  /// movupd [base + index + disp], xmm
-  void movupd_store_idx(Gpr base, Gpr index, int32_t disp, Xmm src) {
-    sse_rm_idx(0x66, 0x11, src, base, index, disp);
-  }
-
-  void addpd_rr(Xmm d, Xmm s) { sse_rr(0x66, 0x58, d, s); }
-  void subpd_rr(Xmm d, Xmm s) { sse_rr(0x66, 0x5C, d, s); }
-  void mulpd_rr(Xmm d, Xmm s) { sse_rr(0x66, 0x59, d, s); }
-  void divpd_rr(Xmm d, Xmm s) { sse_rr(0x66, 0x5E, d, s); }
-  void minpd_rr(Xmm d, Xmm s) { sse_rr(0x66, 0x5D, d, s); }
-  void maxpd_rr(Xmm d, Xmm s) { sse_rr(0x66, 0x5F, d, s); }
-  void sqrtpd_rr(Xmm d, Xmm s) { sse_rr(0x66, 0x51, d, s); }
-  /// cmppd xmm, xmm, pred — same predicate table as cmpsd, per lane.
-  void cmppd_rr(Xmm d, Xmm s, uint8_t pred) { sse_rr(0x66, 0xC2, d, s); byte(pred); }
-
-  // --- integer loop scaffolding (batch kernel lane loop) ---
-
-  /// xor dst, dst (64-bit zero).
-  void xor_rr(Gpr dst, Gpr src) {
-    rex(true, src, dst);
-    byte(0x31);
-    modrm_rr(src, dst);
-  }
-  /// add r, imm8 (sign-extended).
-  void add_ri8(Gpr r, int8_t imm) {
-    byte(static_cast<uint8_t>(0x48 | (r >= 8 ? 0x01 : 0x00)));
-    byte(0x83);
-    modrm_rr(0, r);  // /0 = ADD
-    byte(static_cast<uint8_t>(imm));
-  }
-  /// dec r (64-bit).
-  void dec_r(Gpr r) {
-    byte(static_cast<uint8_t>(0x48 | (r >= 8 ? 0x01 : 0x00)));
-    byte(0xFF);
-    modrm_rr(1, r);  // /1 = DEC
-  }
-  /// test a, b (64-bit; sets ZF on a & b == 0).
-  void test_rr(Gpr a, Gpr b) {
-    rex(true, a, b);
-    byte(0x85);
-    modrm_rr(a, b);
-  }
-  /// jz/jnz rel32 with a placeholder displacement; returns the offset of
-  /// the rel32 for patch_rel32 once the target is known.
-  size_t jz_rel32() { return jcc_rel32(0x84); }
-  size_t jnz_rel32() { return jcc_rel32(0x85); }
-  /// Patches a jcc_rel32 displacement to jump to buffer offset `target`.
-  void patch_rel32(size_t at, size_t target) {
-    const int32_t rel = static_cast<int32_t>(static_cast<int64_t>(target) -
-                                             static_cast<int64_t>(at + 4));
-    for (int i = 0; i < 4; ++i) {
-      buf_[at + static_cast<size_t>(i)] =
-          static_cast<uint8_t>(static_cast<uint32_t>(rel) >> (8 * i));
-    }
-  }
-
  private:
-  size_t jcc_rel32(uint8_t op2) {
-    byte(0x0F);
-    byte(op2);
-    const size_t at = buf_.size();
-    for (int i = 0; i < 4; ++i) byte(0x00);
-    return at;
-  }
-
-  /// SSE op with a [base + 1*index + disp] memory operand (SIB form).
-  /// index must not be RSP (encoding 4 means "no index"); REX.X covers
-  /// r8..r15 indices.
-  void sse_rm_idx(uint8_t prefix, uint8_t op, int reg, Gpr base, Gpr index,
-                  int32_t disp) {
-    byte(prefix);
-    const uint8_t r = (reg >= 8) ? 0x04 : 0x00;
-    const uint8_t x = (index >= 8) ? 0x02 : 0x00;
-    const uint8_t b = (base >= 8) ? 0x01 : 0x00;
-    if (r | x | b) byte(0x40 | r | x | b);
-    byte(0x0F);
-    byte(op);
-    const bool small = disp >= -128 && disp <= 127;
-    const uint8_t mod = small ? 0x40 : 0x80;
-    byte(static_cast<uint8_t>(mod | ((reg & 7) << 3) | 4));  // rm=100: SIB
-    byte(static_cast<uint8_t>(((index & 7) << 3) | (base & 7)));  // scale=1
-    if (small) {
-      byte(static_cast<uint8_t>(disp));
-    } else {
-      for (int i = 0; i < 4; ++i) byte(static_cast<uint8_t>(disp >> (8 * i)));
-    }
-  }
-
   void byte(uint8_t b) { buf_.push_back(b); }
 
   /// Optional REX for a reg-reg form (reg = ModRM.reg, rm = ModRM.rm).

@@ -54,40 +54,17 @@ void set_force_emit_failure(bool on);
 using FoldFn = double (*)(double* fold_state, const double* pkt,
                           const double* vars, double* scratch);
 
-/// Signature of a compiled cross-flow batch kernel (compile_block_batch):
-/// all four register files are struct-of-arrays matrices with row stride
-/// lang::kBatchLanes doubles, and the kernel folds lanes [0, 2*n_pairs)
-/// in one loop, two lanes per iteration (packed SSE2). Odd lane counts
-/// are the caller's problem: pad by duplicating the last live lane's
-/// columns and discard the ghost lane's results. Per-lane results are
-/// bit-identical to FoldFn/eval_block on that lane.
-using BatchFoldFn = void (*)(double* fold_soa, const double* pkt_soa,
-                             const double* vars_soa, double* scratch_soa,
-                             uint64_t n_pairs);
-
 /// Opaque owner of one program's code region (definition in jit.cc).
 struct Handle;
 
 /// Returns the shared native compilation of prog.fold_block, compiling
 /// on first call, or null if the JIT is unavailable or this program
 /// latched a failure. Thread-safe (global compile mutex); never throws.
-/// When the build enables SIMD (CCP_ENABLE_SIMD, the default) and the
-/// fold is SIMD-eligible (pure arithmetic — no pow/cbrt/log/exp), the
-/// handle also carries a batch kernel.
 std::shared_ptr<const Handle> get_or_compile(const CompiledProgram& prog);
 
 FoldFn entry(const Handle& h);
 uint32_t code_bytes(const Handle& h);
 bool reg_cached(const Handle& h);
-
-/// The batch kernel, or null (SIMD disabled, ineligible fold, or emit
-/// failure — scalar execution always stands alone).
-BatchFoldFn batch_entry(const Handle& h);
-uint32_t batch_code_bytes(const Handle& h);
-
-/// True when this build can emit packed-SIMD batch kernels at all
-/// (x86-64 JIT present and not compiled with -DCCP_ENABLE_SIMD=OFF).
-bool simd_available();
 
 /// The generated code reads packet fields as a flat double array
 /// (LoadPkt f => load [pkt + 8f]); these asserts pin PktInfo to that

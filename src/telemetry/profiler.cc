@@ -14,7 +14,6 @@ const char* prof_stage_name(ProfStage s) noexcept {
     case ProfStage::FoldJit: return "fold_jit";
     case ProfStage::Watchdog: return "watchdog";
     case ProfStage::ReportEmit: return "report_emit";
-    case ProfStage::FoldBatch: return "fold_batch";
   }
   return "unknown";
 }

@@ -27,11 +27,6 @@ Metrics::Metrics() {
   r.add("ccp_dp_flow_closes_total", &dp_flow_closes);
   r.add("ccp_dp_flow_rehash_steps_total", &dp_flow_rehash_steps);
 
-  r.add("ccp_dp_batch_lanes_sum", &dp_batch_lanes_sum);
-  r.add("ccp_dp_batch_lanes_total", &dp_batch_waves);
-  r.add("ccp_dp_batch_simd_lanes_total", &dp_batch_simd_lanes);
-  r.add("ccp_dp_batch_scalar_lanes_total", &dp_batch_scalar_lanes);
-
   r.add("ccp_ipc_ring_full_total", &ipc_ring_full);
   r.add("ccp_ipc_send_failures_total", &ipc_send_failures);
 

@@ -103,14 +103,10 @@ struct Metrics {
   Counter dp_flow_closes;        // FlowTable closes (slots parked)
   Counter dp_flow_rehash_steps;  // bounded incremental-rehash migration steps
 
-  // -- cross-flow batch execution (datapath/ack_batch.cc) --
-  // Occupancy = lanes_sum / lanes_total waves. simd/scalar split how each
-  // lane's fold actually executed: packed batch kernel vs any scalar-lane
-  // form (batch-interpreter lane, per-lane fold, peeled full-scalar ACK).
-  Counter dp_batch_lanes_sum;     // lanes summed over all batch waves
-  Counter dp_batch_waves;         // batch waves executed
-  Counter dp_batch_simd_lanes;    // lanes folded by a packed SIMD kernel
-  Counter dp_batch_scalar_lanes;  // lanes folded scalar (incl. peeled)
+  // Unexported and never incremented: e2ebench/workloads.cc still reads
+  // these two (datapath.batch.simd_share) until the benchmark retires them.
+  Counter dp_batch_simd_lanes;
+  Counter dp_batch_scalar_lanes;
 
   // -- ipc / transports --
   Counter ipc_ring_full;       // shm ring rejected a frame (backpressure)

@@ -1,17 +1,16 @@
-// End-to-end equivalence of the cross-flow batch ACK path.
+// End-to-end equivalence of the burst ACK intake.
 //
-// The contract (datapath/ack_batch.hpp): feeding a burst of ACKs through
-// CcpDatapath::on_ack_batch produces the exact byte stream the scalar
+// The contract (CcpDatapath::on_ack_batch): feeding a burst of ACKs
+// through on_ack_batch produces the exact byte stream the scalar
 // on_send/on_ack sequence produces in arrival order — same frames, same
-// bytes — across every execution class (packed SIMD kernel, batch
-// interpreter, per-lane scalar JIT, Verify dual-run, peeled lanes). The
-// twin harness here drives two identically-configured datapaths with the
+// bytes — whatever the fold engine (JIT, interpreter, Verify), program
+// mix, vector mode, watchdog state or profiler sampling. The twin
+// harness here drives two identically-configured datapaths with the
 // same randomized workload, one per-ACK and one in bursts, and compares
 // the captured frames byte for byte.
 //
 // Telemetry is disabled for the twin comparisons so emitted_ns/span_id
-// are deterministic zeros; a separate test checks the batch occupancy
-// counters with telemetry on.
+// are deterministic zeros.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,10 +27,9 @@ namespace {
 
 using lang::jit::JitMode;
 
-/// Pure-arithmetic program (ewma/min/max/if only): eligible for the
-/// JIT's packed-SIMD batch kernel. `loss` is urgent so batch urgency
-/// judging gets exercised; `$gain` gives install-time vars a row in the
-/// SoA gather.
+/// Pure-arithmetic program (ewma/min/max/if only). `loss` is urgent so
+/// urgent emission gets exercised; `$gain` gives flows sharing the
+/// program different install-time vars.
 constexpr const char* kPureProgram = R"(
 fold {
   volatile acked := acked + Pkt.bytes_acked            init 0;
@@ -46,9 +44,8 @@ control {
 }
 )";
 
-/// Same shape but with a pow() fold: the scalar JIT compiles it (libm
-/// helper call) but the batch compiler declines, so these lanes run the
-/// per-lane scalar path inside the runner.
+/// Same shape but with a pow() fold: the JIT lowers it to a libm helper
+/// call, so the program spills its slots to memory.
 constexpr const char* kLibmProgram = R"(
 fold {
   volatile acked := acked + Pkt.bytes_acked  init 0;
@@ -146,7 +143,7 @@ struct Twin {
   }
 };
 
-/// Randomized mixed workload: SIMD-able flows, a libm flow, default
+/// Randomized mixed workload: pure-arithmetic flows, a libm flow, default
 /// programs, a vector-mode flow, different var bindings on a shared
 /// program, unknown ids, same-flow duplicates within one burst, losses
 /// and ECN marks to trip the urgent registers.
@@ -157,8 +154,8 @@ void run_mixed_workload(uint64_t seed, int rounds) {
   twin.install(install_msg(1, kPureProgram, {"gain"}, {1.0}), t0);
   twin.install(install_msg(2, kPureProgram, {"gain"}, {1.0}), t0);
   twin.install(install_msg(3, kLibmProgram), t0);
-  // Flow 4 and 7 keep the default program. Flow 5 runs vector mode
-  // (always peels). Flow 6 shares kPureProgram with different vars.
+  // Flow 4 and 7 keep the default program. Flow 5 runs vector mode.
+  // Flow 6 shares kPureProgram with different vars.
   twin.install(install_msg(5, kPureProgram, {"gain"}, {1.0}, true), t0);
   twin.install(install_msg(6, kPureProgram, {"gain"}, {2.5}), t0);
 
@@ -166,7 +163,7 @@ void run_mixed_workload(uint64_t seed, int rounds) {
   int64_t us = 2000;
   for (int round = 0; round < rounds; ++round) {
     std::vector<FlowAck> burst;
-    const size_t n = 1 + rng() % 24;  // spans <1 wave and >1 wave
+    const size_t n = 1 + rng() % 40;  // spans <1 and >1 intake chunk
     for (size_t i = 0; i < n; ++i) {
       us += 1 + static_cast<int64_t>(rng() % 200);
       FlowAck fa;
@@ -196,7 +193,7 @@ TEST(AckBatch, MatchesScalarPath_JitOn) {
 
 TEST(AckBatch, MatchesScalarPath_Interpreter) {
   TelemetryGuard quiet(false);
-  JitModeGuard jit(JitMode::Off);  // batch interpreter path
+  JitModeGuard jit(JitMode::Off);
   run_mixed_workload(0xacce5502, 300);
 }
 
@@ -205,12 +202,12 @@ TEST(AckBatch, MatchesScalarPath_Verify) {
   JitModeGuard jit(JitMode::Verify);
   const uint64_t before = telemetry::metrics().jit_verify_mismatches.value();
   run_mixed_workload(0xacce5503, 200);
-  // Three engines ran every batch lane (batch kernel/interpreter shadow,
-  // scalar JIT, scalar interpreter): all must agree bit for bit.
+  // Both engines ran every fold (JIT on a shadow, interpreter
+  // authoritative): they must agree bit for bit.
   EXPECT_EQ(telemetry::metrics().jit_verify_mismatches.value(), before);
 }
 
-TEST(AckBatch, SameFlowTwicePerBurstSplitsWaves) {
+TEST(AckBatch, SameFlowTwicePerBurstMatchesScalar) {
   TelemetryGuard quiet(false);
   JitModeGuard jit(JitMode::On);
   Twin twin;
@@ -220,8 +217,8 @@ TEST(AckBatch, SameFlowTwicePerBurstSplitsWaves) {
   twin.install(install_msg(1, kPureProgram, {"gain"}, {1.0}), t0);
   twin.install(install_msg(2, kPureProgram, {"gain"}, {1.0}), t0);
   // Flow 1 appears three times in one burst: each repeat must fold on
-  // top of the previous repeat's registers (wave flush), not on a stale
-  // gather of the original state.
+  // top of the previous repeat's registers, and the intake's per-chunk
+  // prefetch dedup must not skip the repeats themselves.
   std::vector<FlowAck> burst;
   for (int i = 0; i < 3; ++i) {
     FlowAck fa;
@@ -239,13 +236,13 @@ TEST(AckBatch, SameFlowTwicePerBurstSplitsWaves) {
   twin.expect_equal_frames();
 
   // Fold state must match too, not just emitted frames.
-  const auto& a = twin.scalar.flow(1)->fold_machine().state();
-  const auto& b = twin.batch.flow(1)->fold_machine().state();
+  const auto& a = twin.scalar.flow(1)->fold().state();
+  const auto& b = twin.batch.flow(1)->fold().state();
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << "fold " << i;
 }
 
-TEST(AckBatch, WatchdogExpiryPeelsToScalarFallback) {
+TEST(AckBatch, WatchdogExpiryMatchesScalar) {
   TelemetryGuard quiet(false);
   JitModeGuard jit(JitMode::On);
   Twin twin;
@@ -255,8 +252,8 @@ TEST(AckBatch, WatchdogExpiryPeelsToScalarFallback) {
   twin.install(install_msg(1, kPureProgram, {"gain"}, {1.0}), t0);
   twin.install(install_msg(2, kPureProgram, {"gain"}, {1.0}), t0);
   // Warm up RTT estimates so the watchdog arms, then jump far past the
-  // deadline: the batch runner must peel those lanes so fallback entry
-  // (which emits mid-sequence) happens scalar-side, in arrival order.
+  // deadline: fallback entry emits mid-burst, and those messages must
+  // land in arrival order exactly as on the per-ACK side.
   int64_t us = 2000;
   for (int i = 0; i < 20; ++i) {
     std::vector<FlowAck> burst;
@@ -291,43 +288,16 @@ TEST(AckBatch, WatchdogExpiryPeelsToScalarFallback) {
             twin.batch.flow(1)->in_fallback());
 }
 
-TEST(AckBatch, OccupancyCountersAccount) {
-  TelemetryGuard loud(true);
+TEST(AckBatch, ProfilerSampledAcksMatchScalar) {
+  // The cycle profiler stamps sampled ACKs inside on_ack. The smallest
+  // sampling period (1 rounds up to 2) samples every other ACK of every
+  // flow, so the burst intake runs sampled and unsampled ACKs
+  // interleaved; neither may change a byte.
+  TelemetryGuard quiet(false);
   JitModeGuard jit(JitMode::On);
-  FrameLog log;
-  CcpDatapath dp(DatapathConfig{}, log.tx());
-  const TimePoint t0 = at_us(1000);
-  FlowConfig cfg;
-  cfg.mss = 1460;
-  cfg.init_cwnd_bytes = 14600;
-  for (ipc::FlowId id = 1; id <= lang::kBatchLanes; ++id) {
-    dp.create_flow_with_id(id, cfg, "occ", t0);
-    dp.flow(id)->install(install_msg(id, kPureProgram, {"gain"}, {1.0}), t0);
-  }
-  auto& m = telemetry::metrics();
-  const uint64_t waves0 = m.dp_batch_waves.value();
-  const uint64_t lanes0 = m.dp_batch_lanes_sum.value();
-  const uint64_t simd0 = m.dp_batch_simd_lanes.value();
-
-  std::vector<FlowAck> burst;
-  for (ipc::FlowId id = 1; id <= lang::kBatchLanes; ++id) {
-    FlowAck fa;
-    fa.flow_id = id;
-    fa.ev.now = at_us(2000 + id);
-    fa.ev.bytes_acked = 1460;
-    fa.ev.packets_acked = 1;
-    fa.ev.rtt_sample = Duration::from_micros(10000);
-    burst.push_back(fa);
-  }
-  dp.on_ack_batch(burst);
-
-  EXPECT_EQ(m.dp_batch_waves.value() - waves0, 1u);
-  EXPECT_EQ(m.dp_batch_lanes_sum.value() - lanes0, lang::kBatchLanes);
-  if (lang::jit::simd_available()) {
-    // All 16 lanes share one SIMD-eligible program: minus any lanes the
-    // profiler sampled out (those peel), the wave runs packed.
-    EXPECT_GE(m.dp_batch_simd_lanes.value() - simd0, lang::kBatchLanes - 2);
-  }
+  telemetry::set_profile_sample(1);
+  run_mixed_workload(0xacce5504, 200);
+  telemetry::set_profile_sample(0);
 }
 
 }  // namespace

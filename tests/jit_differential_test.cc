@@ -20,11 +20,6 @@
 // 24 ACKs. On builds without a JIT (non-x86-64 or -DCCP_ENABLE_JIT=OFF)
 // the same corpus still runs interpreter-vs-interpreter, keeping the
 // suite green and the corpus honest.
-//
-// A second corpus (BatchDifferential below) extends the differential to
-// the cross-flow batch engines: scalar batch interpreter and packed-SIMD
-// batch kernel vs independent per-lane scalar machines, across batch
-// sizes 1/2/odd/full-wave.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -60,10 +55,7 @@ uint64_t bits(double v) { return std::bit_cast<uint64_t>(v); }
 /// Random expression over `n_regs` fold registers, two vars, and the
 /// whole packet-field and operator surface. Extreme constants are drawn
 /// deliberately so intermediate inf/NaN values are common.
-/// `pure` remaps the four libm-helper draws (pow, cbrt, log, exp) onto
-/// packed-lowerable ops, yielding SIMD-eligible programs (same rng
-/// consumption either way, so seeds stay deterministic).
-Expr random_expr(ccp::Rng& rng, int depth, int n_regs, bool pure = false) {
+Expr random_expr(ccp::Rng& rng, int depth, int n_regs) {
   if (depth <= 0 || rng.chance(0.3)) {
     switch (rng.next_below(5)) {
       case 0: {
@@ -78,7 +70,7 @@ Expr random_expr(ccp::Rng& rng, int depth, int n_regs, bool pure = false) {
         return pkt(static_cast<PktField>(rng.next_below(kNumPktFields)));
     }
   }
-  const auto sub = [&] { return random_expr(rng, depth - 1, n_regs, pure); };
+  const auto sub = [&] { return random_expr(rng, depth - 1, n_regs); };
   switch (rng.next_below(20)) {
     case 0: return sub() + sub();
     case 1: return sub() - sub();
@@ -86,15 +78,13 @@ Expr random_expr(ccp::Rng& rng, int depth, int n_regs, bool pure = false) {
     case 3: return sub() / sub();
     case 4: return min(sub(), sub());
     case 5: return max(sub(), sub());
-    case 6: return pure ? max(sub(), sub()) : pow(sub(), sub());
+    case 6: return pow(sub(), sub());
     case 7: return -sub();
     case 8: return abs(sub());
     case 9: return sqrt(sub());
-    case 10: return pure ? abs(sub()) : cbrt(sub());
-    case 11: return pure ? -sub() : log(sub());
-    case 12:
-      // exp overflows to inf readily: NaN feedstock for the impure corpus.
-      return pure ? sqrt(sub()) : exp(sub());
+    case 10: return cbrt(sub());
+    case 11: return log(sub());
+    case 12: return exp(sub());  // overflows to inf readily: NaN feedstock
     case 13: return sub() < sub();
     case 14: return sub() <= sub();
     case 15: return sub() > sub();
@@ -108,14 +98,14 @@ Expr random_expr(ccp::Rng& rng, int depth, int n_regs, bool pure = false) {
   }
 }
 
-Program random_program(ccp::Rng& rng, bool pure = false) {
+Program random_program(ccp::Rng& rng) {
   const int n_regs = 1 + static_cast<int>(rng.next_below(5));
   ProgramBuilder b;
   for (int i = 0; i < n_regs; ++i) {
     b.def("r" + std::to_string(i),
-          rng.chance(0.2) ? random_expr(rng, 1, n_regs, pure)
+          rng.chance(0.2) ? random_expr(rng, 1, n_regs)
                           : Expr::c(rng.uniform(-10, 10)),
-          random_expr(rng, 3, n_regs, pure),
+          random_expr(rng, 3, n_regs),
           ProgramBuilder::DefOpts{rng.chance(0.4), rng.chance(0.25)});
   }
   switch (rng.next_below(3)) {
@@ -131,10 +121,10 @@ Program random_program(ccp::Rng& rng, bool pure = false) {
 /// constructs sema rejects outright — division by a literal zero and a
 /// constant ewma gain outside (0, 1] — so rejected draws are simply
 /// redrawn; the seeds stay deterministic either way.
-CompiledProgram compile_valid(ccp::Rng& rng, bool pure = false) {
+CompiledProgram compile_valid(ccp::Rng& rng) {
   for (;;) {
     try {
-      return compile(random_program(rng, pure));
+      return compile(random_program(rng));
     } catch (const ProgramError&) {
     }
   }
@@ -240,146 +230,6 @@ TEST_P(JitDifferential, RandomProgramsAndTracesBitIdentical) {
 
 // 4 fixed seeds x 125 programs x 20 traces = 10,000 differential cases.
 INSTANTIATE_TEST_SUITE_P(SeedCorpus, JitDifferential,
-                         ::testing::Values(0x5eed0001u, 0x5eed0002u,
-                                           0x5eed0003u, 0x5eed0004u));
-
-// ---------------------------------------------------------------------------
-// Cross-flow batch engines: eval_block_batch (scalar batch loop) and the
-// packed-SIMD batch kernel vs per-lane scalar FoldMachines.
-//
-// Every lane of a batch must evolve BIT FOR BIT like a lone flow folding
-// the same trace: for each program, N independent scalar interpreter
-// machines are the reference, and the two batch engines run the same
-// lanes through struct-of-arrays register files. Batch sizes cover the
-// degenerate single lane, the exact SIMD pair, odd counts (ghost-lane
-// padding), and a full kBatchLanes wave. Half the corpus is drawn from
-// the pure-arithmetic generator so the SIMD kernel is exercised
-// deliberately, the other half keeps libm helpers in to pin the
-// kernel-declined (scalar-lane) classification. Mixed-program batches —
-// the group-split logic — live one layer up in AckBatchTest, which
-// drives the real runner.
-// ---------------------------------------------------------------------------
-
-constexpr size_t kBatchSizes[] = {1, 2, 3, 5, 8, kBatchLanes};
-constexpr int kBatchProgramsPerSeed = 24;
-constexpr int kBatchAcksPerTrace = 12;
-
-class BatchDifferential : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(BatchDifferential, BatchEnginesMatchScalarLanes) {
-  JitGuard guard;
-  ccp::Rng rng(GetParam() ^ 0xba7c8000u);
-  int kernels = 0;
-
-  for (int pi = 0; pi < kBatchProgramsPerSeed; ++pi) {
-    const bool pure = (pi % 2) == 0;
-    const CompiledProgram prog = compile_valid(rng, pure);
-    const CodeBlock& block = prog.fold_block;
-    const size_t nf = prog.num_folds();
-    const size_t nv = prog.num_vars();
-
-    auto handle = jit::get_or_compile(prog);
-    jit::BatchFoldFn kernel =
-        handle != nullptr ? jit::batch_entry(*handle) : nullptr;
-    if (pure && jit::simd_available() && handle != nullptr) {
-      ASSERT_NE(kernel, nullptr)
-          << "pure-arithmetic program " << pi << " should batch-compile";
-    }
-    if (kernel != nullptr) ++kernels;
-
-    for (const size_t n : kBatchSizes) {
-      // Ghost lane: odd counts are padded by duplicating the last live
-      // lane, so the kernel's pair loop always has two real columns.
-      const bool ghost = (kernel != nullptr) && (n % 2 != 0);
-      const size_t g = n;  // ghost column index when `ghost`
-
-      std::vector<double> lane_vars(nv);
-      std::vector<FoldMachine> ref(n);
-      std::vector<double> vars_soa(std::max<size_t>(nv, 1) * kBatchLanes, 0.0);
-      std::vector<double> fold_interp(nf * kBatchLanes, 0.0);
-      std::vector<double> fold_simd(nf * kBatchLanes, 0.0);
-      std::vector<double> pkt_soa(kNumPktFields * kBatchLanes, 0.0);
-      std::vector<double> scratch(std::max<uint16_t>(block.n_slots, 1) *
-                                  kBatchLanes);
-      std::vector<double> scratch_simd(scratch.size());
-
-      jit::set_mode(jit::JitMode::Off);
-      for (size_t l = 0; l < n; ++l) {
-        for (auto& value : lane_vars) value = rng.uniform(-100, 100);
-        ref[l].install(&prog, lane_vars);
-        for (size_t r = 0; r < nf; ++r) {
-          fold_interp[r * kBatchLanes + l] = ref[l].state()[r];
-          fold_simd[r * kBatchLanes + l] = ref[l].state()[r];
-        }
-        for (size_t i = 0; i < nv; ++i) {
-          vars_soa[i * kBatchLanes + l] = lane_vars[i];
-        }
-      }
-      if (ghost) {
-        // Lockstep ghost: same fold/vars/pkt as the last live lane every
-        // ACK, so its column evolves identically and needs no re-copy.
-        for (size_t r = 0; r < nf; ++r) {
-          fold_simd[r * kBatchLanes + g] = fold_simd[r * kBatchLanes + (n - 1)];
-        }
-        for (size_t i = 0; i < nv; ++i) {
-          vars_soa[i * kBatchLanes + g] = vars_soa[i * kBatchLanes + (n - 1)];
-        }
-      }
-
-      for (int ack = 0; ack < kBatchAcksPerTrace; ++ack) {
-        for (size_t l = 0; l < n; ++l) {
-          const PktInfo p = random_pkt(rng);
-          const double* cols = jit::pkt_ptr(p);
-          for (size_t f = 0; f < kNumPktFields; ++f) {
-            pkt_soa[f * kBatchLanes + l] = cols[f];
-          }
-          ref[l].on_packet(p);
-        }
-        if (ghost) {
-          for (size_t f = 0; f < kNumPktFields; ++f) {
-            pkt_soa[f * kBatchLanes + g] = pkt_soa[f * kBatchLanes + (n - 1)];
-          }
-        }
-
-        eval_block_batch(block, fold_interp.data(), pkt_soa.data(),
-                         vars_soa.data(), scratch.data(), n);
-        if (kernel != nullptr) {
-          kernel(fold_simd.data(), pkt_soa.data(), vars_soa.data(),
-                 scratch_simd.data(), (n + 1) / 2);
-        }
-
-        for (size_t l = 0; l < n; ++l) {
-          for (size_t r = 0; r < nf; ++r) {
-            ASSERT_EQ(bits(ref[l].state()[r]),
-                      bits(fold_interp[r * kBatchLanes + l]))
-                << "batch interpreter fold[" << r << "] ("
-                << prog.fold_names[r] << ") diverged: program " << pi
-                << " n=" << n << " lane " << l << " ack " << ack << "\n"
-                << disassemble(prog);
-            if (kernel != nullptr) {
-              ASSERT_EQ(bits(ref[l].state()[r]),
-                        bits(fold_simd[r * kBatchLanes + l]))
-                  << "SIMD kernel fold[" << r << "] (" << prog.fold_names[r]
-                  << ") diverged: program " << pi << " n=" << n << " lane "
-                  << l << " ack " << ack << "\n"
-                  << disassemble(prog);
-            }
-          }
-        }
-      }
-    }
-  }
-
-  if (jit::simd_available()) {
-    EXPECT_GE(kernels, kBatchProgramsPerSeed / 2)
-        << "the pure half of the corpus should all carry batch kernels";
-  } else {
-    EXPECT_EQ(kernels, 0);
-  }
-}
-
-// 4 seeds x 24 programs x 6 batch sizes x 12 ACKs, every lane compared.
-INSTANTIATE_TEST_SUITE_P(SeedCorpus, BatchDifferential,
                          ::testing::Values(0x5eed0001u, 0x5eed0002u,
                                            0x5eed0003u, 0x5eed0004u));
 
