@@ -411,80 +411,85 @@ TEST(HotPathAlloc, JitSteadyStateIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "JIT-dispatched per-ACK path allocated in steady state";
 }
 
-TEST(HotPathAlloc, BatchModeSteadyStateIsAllocationFree) {
-  // Burst intake (on_ack_batch): prefetch sweeps over a fixed on-stack
-  // chunk, then the scalar per-ACK calls. Steady state — 32-ACK bursts
-  // over flows running two different programs, telemetry on — must be
-  // exactly as allocation-free as the scalar per-ACK path, under both
-  // fold engines.
+/// Burst intake (on_ack_batch): prefetch sweeps over a fixed on-stack
+/// chunk, then the scalar per-ACK calls. Steady state — 32-ACK bursts over
+/// flows running two different programs, telemetry on — must be exactly as
+/// allocation-free as the scalar per-ACK path under the given fold engine.
+void expect_burst_intake_allocation_free(lang::jit::JitMode mode) {
   const lang::jit::JitMode saved_mode = lang::jit::mode();
-  for (const lang::jit::JitMode mode :
-       {lang::jit::JitMode::On, lang::jit::JitMode::Off}) {
-    SCOPED_TRACE(mode == lang::jit::JitMode::On ? "JitMode::On"
-                                                : "JitMode::Off");
-    lang::jit::set_mode(mode);
-    telemetry::set_enabled(true);
-    (void)telemetry::metrics().dp_acks.value();
+  lang::jit::set_mode(mode);
+  telemetry::set_enabled(true);
+  (void)telemetry::metrics().dp_acks.value();
 
-    DatapathConfig dcfg;
-    dcfg.flush_interval = Duration::from_millis(1);
-    dcfg.max_batch_msgs = 32;
-    uint64_t frames = 0;
-    CcpDatapath dp(dcfg, [&frames](std::span<const uint8_t>) { ++frames; });
+  DatapathConfig dcfg;
+  dcfg.flush_interval = Duration::from_millis(1);
+  dcfg.max_batch_msgs = 32;
+  uint64_t frames = 0;
+  CcpDatapath dp(dcfg, [&frames](std::span<const uint8_t>) { ++frames; });
 
-    TimePoint now = TimePoint::epoch() + Duration::from_millis(1);
-    std::vector<ipc::FlowId> ids;
-    FlowConfig fcfg;
-    for (size_t i = 0; i < kFlows; ++i) {
-      ids.push_back(dp.create_flow(fcfg, "reno", now).id());
-    }
-    // Half the flows get a second program, so consecutive ACKs of a
-    // burst alternate between programs.
-    ipc::InstallMsg ins;
-    ins.program_text =
-        "fold { r := r + Pkt.bytes_acked init 0;\n"
-        "       m := ewma(m, Pkt.rtt, 0.25) init 0; }\n"
-        "control { WaitRtts(1.0); Report(); }";
-    for (size_t i = 0; i < kFlows / 2; ++i) {
-      ins.flow_id = ids[i];
-      dp.handle_frame(ipc::encode_frame(ipc::Message{ins}), now);
-    }
-
-    // Burst buffer preallocated outside the counting window; clear()
-    // keeps capacity, so refilling it is heap-silent.
-    std::vector<FlowAck> burst;
-    burst.reserve(32);
-    const auto drive_batch = [&](uint64_t acks) {
-      const Duration kRtt = Duration::from_millis(10);
-      for (uint64_t i = 0; i < acks;) {
-        burst.clear();
-        for (size_t b = 0; b < 32 && i < acks; ++b, ++i) {
-          now += Duration::from_micros(1);
-          FlowAck fa;
-          fa.flow_id = ids[i % ids.size()];
-          fa.sent_bytes = 1500;
-          fa.ev.now = now;
-          fa.ev.bytes_acked = 1500;
-          fa.ev.packets_acked = 1;
-          fa.ev.bytes_in_flight = 64 * 1500;
-          fa.ev.packets_in_flight = 64;
-          fa.ev.rtt_sample = kRtt + Duration::from_nanos(
-                                        static_cast<int64_t>(i % 1024) * 1000);
-          burst.push_back(fa);
-        }
-        dp.on_ack_batch(burst);
-        if ((i & 255) == 0) dp.tick(now);
-      }
-    };
-
-    drive_batch(kWarmupAcks);
-    ASSERT_GT(frames, 0u);
-
-    const uint64_t allocs =
-        count_allocs_during([&] { drive_batch(kMeasuredAcks); });
-    EXPECT_EQ(allocs, 0u) << "burst intake allocated in steady state";
+  TimePoint now = TimePoint::epoch() + Duration::from_millis(1);
+  std::vector<ipc::FlowId> ids;
+  FlowConfig fcfg;
+  for (size_t i = 0; i < kFlows; ++i) {
+    ids.push_back(dp.create_flow(fcfg, "reno", now).id());
   }
+  // Half the flows get a second program, so consecutive ACKs of a burst
+  // alternate between programs.
+  ipc::InstallMsg ins;
+  ins.program_text =
+      "fold { r := r + Pkt.bytes_acked init 0;\n"
+      "       m := ewma(m, Pkt.rtt, 0.25) init 0; }\n"
+      "control { WaitRtts(1.0); Report(); }";
+  for (size_t i = 0; i < kFlows / 2; ++i) {
+    ins.flow_id = ids[i];
+    dp.handle_frame(ipc::encode_frame(ipc::Message{ins}), now);
+  }
+
+  // Burst buffer preallocated outside the counting window; clear() keeps
+  // capacity, so refilling it is heap-silent.
+  std::vector<FlowAck> burst;
+  burst.reserve(32);
+  const auto drive_batch = [&](uint64_t acks) {
+    const Duration kRtt = Duration::from_millis(10);
+    for (uint64_t i = 0; i < acks;) {
+      burst.clear();
+      for (size_t b = 0; b < 32 && i < acks; ++b, ++i) {
+        now += Duration::from_micros(1);
+        FlowAck fa;
+        fa.flow_id = ids[i % ids.size()];
+        fa.sent_bytes = 1500;
+        fa.ev.now = now;
+        fa.ev.bytes_acked = 1500;
+        fa.ev.packets_acked = 1;
+        fa.ev.bytes_in_flight = 64 * 1500;
+        fa.ev.packets_in_flight = 64;
+        fa.ev.rtt_sample =
+            kRtt + Duration::from_nanos(static_cast<int64_t>(i % 1024) * 1000);
+        burst.push_back(fa);
+      }
+      dp.on_ack_batch(burst);
+      if ((i & 255) == 0) dp.tick(now);
+    }
+  };
+
+  drive_batch(kWarmupAcks);
+  ASSERT_GT(frames, 0u);
+
+  const uint64_t allocs =
+      count_allocs_during([&] { drive_batch(kMeasuredAcks); });
   lang::jit::set_mode(saved_mode);
+  EXPECT_EQ(allocs, 0u) << "burst intake allocated in steady state";
+}
+
+TEST(HotPathAlloc, BatchModeSteadyStateIsAllocationFree) {
+  // Burst intake with JIT-compiled folds.
+  expect_burst_intake_allocation_free(lang::jit::JitMode::On);
+}
+
+TEST(HotPathAlloc, BatchInterpreterSteadyStateIsAllocationFree) {
+  // Same burst workload with the JIT off: every fold runs through the
+  // bytecode interpreter, which must hold the same invariant.
+  expect_burst_intake_allocation_free(lang::jit::JitMode::Off);
 }
 
 TEST(HotPathAlloc, JitVerifySteadyStateIsAllocationFree) {
