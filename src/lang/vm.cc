@@ -13,6 +13,28 @@ namespace {
 inline double safe_div(double a, double b) { return b == 0.0 ? 0.0 : a / b; }
 inline double safe_sqrt(double a) { return a <= 0.0 ? 0.0 : std::sqrt(a); }
 inline double safe_log(double a) { return a <= 0.0 ? 0.0 : std::log(a); }
+
+// (1 - w) * a + w * b, with its operands in the JIT's order (codegen.cc
+// ewma_op): 1 - w, then that times a, then w times b, then the sum with
+// (1 - w) * a as the destination. When both operands of an SSE
+// arithmetic op are NaN the destination's payload (sign included) wins,
+// and a C++ expression leaves that order to the compiler, which picks
+// differently at -O0 and -O2; the asm pins it in every build type.
+inline double ewma(double a, double b, double w) {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+  double acc = 1.0;
+  asm("subsd %[w], %[acc]\n\t"
+      "mulsd %[a], %[acc]\n\t"
+      "mulsd %[b], %[w]\n\t"
+      "addsd %[w], %[acc]"
+      : [acc] "+x"(acc), [w] "+x"(w)
+      : [a] "x"(a), [b] "x"(b));
+  return acc;
+#else
+  return (1.0 - w) * a + w * b;
+#endif
+}
+
 inline double safe_pow(double a, double b) {
   // pow of a negative base with fractional exponent is NaN; clamp to 0
   // (total arithmetic — see vm.hpp).
@@ -104,9 +126,7 @@ double eval_block_impl(const CodeBlock& block, std::span<double> fold_state,
     s[IN.dst] = (s[IN.a] != 0.0 || s[IN.b] != 0.0) ? 1.0 : 0.0;
     VM_NEXT;
   VM_CASE(Select): s[IN.dst] = s[IN.a] != 0.0 ? s[IN.b] : s[IN.c]; VM_NEXT;
-  VM_CASE(Ewma):
-    s[IN.dst] = (1.0 - s[IN.c]) * s[IN.a] + s[IN.c] * s[IN.b];
-    VM_NEXT;
+  VM_CASE(Ewma): s[IN.dst] = ewma(s[IN.a], s[IN.b], s[IN.c]); VM_NEXT;
   VM_CASE(StoreFold): fold_state[IN.a] = s[IN.b]; VM_NEXT;
   // Optimizer superinstructions: right operand from the const pool.
   VM_CASE(AddC): s[IN.dst] = s[IN.a] + k[IN.b]; VM_NEXT;
@@ -121,9 +141,7 @@ double eval_block_impl(const CodeBlock& block, std::span<double> fold_state,
   VM_CASE(GeC): s[IN.dst] = s[IN.a] >= k[IN.b] ? 1.0 : 0.0; VM_NEXT;
   VM_CASE(EqC): s[IN.dst] = s[IN.a] == k[IN.b] ? 1.0 : 0.0; VM_NEXT;
   VM_CASE(NeC): s[IN.dst] = s[IN.a] != k[IN.b] ? 1.0 : 0.0; VM_NEXT;
-  VM_CASE(EwmaC):
-    s[IN.dst] = (1.0 - k[IN.c]) * s[IN.a] + k[IN.c] * s[IN.b];
-    VM_NEXT;
+  VM_CASE(EwmaC): s[IN.dst] = ewma(s[IN.a], s[IN.b], k[IN.c]); VM_NEXT;
   VM_CASE(SelGtz): s[IN.dst] = s[IN.a] > 0.0 ? s[IN.b] : s[IN.c]; VM_NEXT;
   VM_END
 

@@ -1,13 +1,44 @@
 #include "sim/link.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace ccp::sim {
+
+void PacketLine::push(TimePoint at, Packet pkt) {
+  if (!line_.empty() && at < line_.back().key.at) {
+    throw std::logic_error("PacketLine: delivery before the one ahead of it");
+  }
+  line_.push_back(Entry{EventKey{at, events_.take_ticket()}, std::move(pkt)});
+  if (!head_queued_) queue_head();
+}
+
+void PacketLine::queue_head() {
+  head_queued_ = true;
+  const EventKey& key = line_.front().key;
+  events_.schedule_at(key.at, key.seq, [this] { deliver_head(); });
+}
+
+void PacketLine::deliver_head() {
+  Packet pkt = std::move(line_.front().pkt);
+  line_.pop_front();
+  // Queue the next head before the sink runs: a sink that pushes onto
+  // this line again then only appends behind it.
+  head_queued_ = false;
+  if (!line_.empty()) queue_head();
+  sink_(std::move(pkt));
+}
 
 Link::Link(EventQueue& events, LinkConfig config, Sink sink)
     : events_(events),
       config_(std::move(config)),
       sink_(std::move(sink)),
+      propagating_(events,
+                   [this](Packet pkt) {
+                     ++stats_.delivered_pkts;
+                     stats_.delivered_bytes += pkt.wire_bytes();
+                     sink_(std::move(pkt));
+                   }),
       initial_rate_bps_(config_.rate_bps),
       loss_rng_(config_.loss_seed) {
   // Arm the variable-rate schedule. Each change fires once, at its
@@ -63,12 +94,7 @@ void Link::service_next() {
   // The next packet starts transmitting when this one finishes...
   events_.schedule(tx_time, [this] { service_next(); });
   // ...and this one arrives after transmission plus propagation.
-  events_.schedule(tx_time + config_.prop_delay,
-                   [this, pkt = std::move(pkt)]() mutable {
-                     ++stats_.delivered_pkts;
-                     stats_.delivered_bytes += pkt.wire_bytes();
-                     sink_(std::move(pkt));
-                   });
+  propagating_.push(events_.now() + tx_time + config_.prop_delay, std::move(pkt));
 }
 
 double Link::mean_rate_bps(Duration until) const {

@@ -16,6 +16,14 @@
 //   - `rate_schedule`: timed rate changes (sorted by time, applied
 //     once). The packet being serialized keeps the rate it started
 //     with; later packets see the new rate.
+//
+// Packets in propagation wait in a PacketLine: a FIFO of
+// {at, ticket, Packet} drained by one queued event. Deliveries out of a
+// link are monotone in (at, seq) because service is sequential and the
+// propagation delay is constant; out of a DelayPipe because its delay is
+// constant. So the FIFO head is always the next delivery due, and every
+// packet still lands at the (at, seq) position a per-packet event would
+// have had (see the ticket contract in sim/event_queue.hpp).
 #pragma once
 
 #include <cstdint>
@@ -58,6 +66,37 @@ struct LinkStats {
   uint64_t max_queue_bytes = 0;
 };
 
+/// Packets in flight toward one sink, delivered in push order by a
+/// single queued event. Each push takes a ticket at push time, so a
+/// delivery runs where an event scheduled by the push would have run.
+/// Pushes must be nondecreasing in delivery time.
+class PacketLine {
+ public:
+  using Sink = std::function<void(Packet)>;
+
+  PacketLine(EventQueue& events, Sink sink)
+      : events_(events), sink_(std::move(sink)) {}
+  PacketLine(const PacketLine&) = delete;
+  PacketLine& operator=(const PacketLine&) = delete;
+
+  /// Puts `pkt` in flight for delivery to the sink at `at`.
+  void push(TimePoint at, Packet pkt);
+
+ private:
+  struct Entry {
+    EventKey key;
+    Packet pkt;
+  };
+
+  void queue_head();
+  void deliver_head();
+
+  EventQueue& events_;
+  Sink sink_;
+  std::deque<Entry> line_;
+  bool head_queued_ = false;
+};
+
 class Link {
  public:
   using Sink = std::function<void(Packet)>;
@@ -89,6 +128,7 @@ class Link {
   EventQueue& events_;
   LinkConfig config_;
   Sink sink_;
+  PacketLine propagating_;  // serialized, not yet delivered
   double initial_rate_bps_;  // config rate before any schedule applied
   Rng loss_rng_;
   std::deque<Packet> queue_;
@@ -101,21 +141,17 @@ class Link {
 /// no queueing — the usual dumbbell assumption).
 class DelayPipe {
  public:
-  using Sink = std::function<void(Packet)>;
+  using Sink = PacketLine::Sink;
 
   DelayPipe(EventQueue& events, Duration delay, Sink sink)
-      : events_(events), delay_(delay), sink_(std::move(sink)) {}
+      : events_(events), delay_(delay), line_(events, std::move(sink)) {}
 
-  void enqueue(Packet pkt) {
-    events_.schedule(delay_, [this, pkt = std::move(pkt)]() mutable {
-      sink_(std::move(pkt));
-    });
-  }
+  void enqueue(Packet pkt) { line_.push(events_.now() + delay_, std::move(pkt)); }
 
  private:
   EventQueue& events_;
   Duration delay_;
-  Sink sink_;
+  PacketLine line_;
 };
 
 }  // namespace ccp::sim

@@ -12,7 +12,9 @@ TcpSender::TcpSender(EventQueue& events, uint32_t flow_id, TcpSenderConfig confi
       flow_id_(flow_id),
       config_(config),
       cc_(cc),
-      egress_(std::move(egress)) {}
+      egress_(std::move(egress)),
+      rto_timer_(events, [this] { on_rto_fire(); }),
+      tlp_timer_(events, [this] { on_tlp_fire(); }) {}
 
 void TcpSender::start() {
   started_ = true;
@@ -58,15 +60,15 @@ void TcpSender::try_send() {
     // 1. Retransmissions of lost segments take priority (RFC 6675).
     if (lost_unrexmitted_bytes_ > 0 && bytes_in_flight() + config_.mss <= cwnd) {
       auto it = std::find_if(scoreboard_.begin(), scoreboard_.end(),
-                             [](const auto& kv) {
-                               return kv.second.lost && !kv.second.rexmitted;
+                             [](const SegState& seg) {
+                               return seg.lost && !seg.rexmitted;
                              });
       if (it != scoreboard_.end()) {
-        if (!pacing_allows(it->second.len)) return;
-        it->second.rexmitted = true;
-        it->second.sent_time = events_.now();
-        lost_unrexmitted_bytes_ -= it->second.len;
-        send_segment(it->first, it->second.len, /*retransmit=*/true);
+        if (!pacing_allows(it->len)) return;
+        it->rexmitted = true;
+        it->sent_time = events_.now();
+        lost_unrexmitted_bytes_ -= it->len;
+        send_segment(it->seq, it->len, /*retransmit=*/true);
         continue;
       }
       lost_unrexmitted_bytes_ = 0;  // scoreboard says otherwise; resync
@@ -79,7 +81,8 @@ void TcpSender::try_send() {
     if (bytes_in_flight() + len > cwnd) return;
     if (!pacing_allows(len)) return;
 
-    scoreboard_.emplace(snd_nxt_, SegState{len, false, false, false, events_.now()});
+    scoreboard_.push_back(SegState{snd_nxt_, len, false, false, false,
+                                   events_.now(), events_.now()});
     send_segment(snd_nxt_, len, /*retransmit=*/false);
     snd_nxt_ += len;
   }
@@ -117,26 +120,22 @@ void TcpSender::send_segment(uint64_t seq, uint32_t len, bool retransmit) {
 }
 
 void TcpSender::arm_tlp() {
-  if (tlp_armed_) return;
-  tlp_armed_ = true;
-  const uint64_t gen = ++tlp_generation_;
+  if (tlp_timer_.armed()) return;
   const Duration pto =
       srtt_.is_zero() ? Duration::from_millis(50)
                       : std::max(srtt_ * 2.0, Duration::from_millis(10));
-  events_.schedule(pto, [this, gen] { on_tlp_fire(gen); });
+  tlp_timer_.arm(events_.now() + pto);
 }
 
-void TcpSender::on_tlp_fire(uint64_t generation) {
-  if (generation != tlp_generation_ || !tlp_armed_) return;
-  tlp_armed_ = false;
+void TcpSender::on_tlp_fire() {
   if (snd_nxt_ == snd_una_) return;
   // Probe with the highest unSACKed outstanding segment. Any SACK it
   // elicits sits above every tail hole, unlocking SACK loss detection.
   for (auto it = scoreboard_.rbegin(); it != scoreboard_.rend(); ++it) {
-    if (!it->second.sacked) {
+    if (!it->sacked) {
       ++stats_.tail_loss_probes;
-      it->second.sent_time = events_.now();
-      send_segment(it->first, it->second.len, /*retransmit=*/true);
+      it->sent_time = events_.now();
+      send_segment(it->seq, it->len, /*retransmit=*/true);
       return;
     }
   }
@@ -148,9 +147,11 @@ uint64_t TcpSender::process_sacks(const Packet& ack) {
     const uint64_t start = ack.sack_start[i];
     const uint64_t end = ack.sack_end[i];
     high_sacked_ = std::max(high_sacked_, end);
-    for (auto it = scoreboard_.lower_bound(start);
-         it != scoreboard_.end() && it->first < end; ++it) {
-      SegState& seg = it->second;
+    auto it = std::lower_bound(
+        scoreboard_.begin(), scoreboard_.end(), start,
+        [](const SegState& seg, uint64_t seq) { return seg.seq < seq; });
+    for (; it != scoreboard_.end() && it->seq < end; ++it) {
+      SegState& seg = *it;
       if (!seg.sacked) {
         seg.sacked = true;
         sacked_bytes_ += seg.len;
@@ -181,7 +182,15 @@ uint32_t TcpSender::detect_losses() {
       srtt_.is_zero() ? Duration::from_millis(1) : srtt_ / 4;
   const bool have_rack = rack_newest_delivered_ != TimePoint{};
 
-  for (auto& [seq, seg] : scoreboard_) {
+  for (SegState& seg : scoreboard_) {
+    // Past both frontiers nothing further can be marked: the byte rule
+    // is monotone in seq, and sent_time >= first_sent, which ascends
+    // with seq, bounds every later RACK comparison.
+    const bool byte_frontier_passed =
+        high_sacked_ == 0 || seg.seq + threshold_bytes >= high_sacked_;
+    const bool rack_frontier_passed =
+        !have_rack || seg.first_sent + reo_wnd >= rack_newest_delivered_;
+    if (byte_frontier_passed && rack_frontier_passed) break;
     if (seg.sacked) continue;
     if (seg.lost) {
       // A retransmission can itself be lost: RACK re-marks it once newer
@@ -194,8 +203,7 @@ uint32_t TcpSender::detect_losses() {
       }
       continue;
     }
-    const bool byte_rule =
-        high_sacked_ > 0 && seq + threshold_bytes < high_sacked_ && !seg.rexmitted;
+    const bool byte_rule = !byte_frontier_passed && !seg.rexmitted;
     const bool rack_rule =
         have_rack && seg.sent_time + reo_wnd < rack_newest_delivered_;
     if (byte_rule || rack_rule) {
@@ -219,12 +227,12 @@ void TcpSender::enter_recovery() {
   // if the pipe is still above the (freshly reduced) window.
   auto it = std::find_if(
       scoreboard_.begin(), scoreboard_.end(),
-      [](const auto& kv) { return kv.second.lost && !kv.second.rexmitted; });
+      [](const SegState& seg) { return seg.lost && !seg.rexmitted; });
   if (it != scoreboard_.end()) {
-    it->second.rexmitted = true;
-    it->second.sent_time = events_.now();
-    lost_unrexmitted_bytes_ -= it->second.len;
-    send_segment(it->first, it->second.len, /*retransmit=*/true);
+    it->rexmitted = true;
+    it->sent_time = events_.now();
+    lost_unrexmitted_bytes_ -= it->len;
+    send_segment(it->seq, it->len, /*retransmit=*/true);
   }
 }
 
@@ -250,8 +258,7 @@ void TcpSender::on_ack(const Packet& ack) {
   const TimePoint now = events_.now();
 
   // Any ACK is forward progress for the tail-loss probe timer.
-  tlp_armed_ = false;
-  ++tlp_generation_;
+  tlp_timer_.cancel();
 
   const uint64_t newly_sacked = process_sacks(ack);
 
@@ -264,15 +271,15 @@ void TcpSender::on_ack(const Packet& ack) {
     // Retire scoreboard entries below the new cumulative ACK, tracking
     // how many of those bytes were already counted delivered via SACK.
     uint64_t retired_sacked = 0;
-    while (!scoreboard_.empty() && scoreboard_.begin()->first < snd_una_) {
-      const SegState& seg = scoreboard_.begin()->second;
+    while (!scoreboard_.empty() && scoreboard_.front().seq < snd_una_) {
+      const SegState& seg = scoreboard_.front();
       if (seg.sacked) {
         sacked_bytes_ -= seg.len;
         retired_sacked += seg.len;
       }
       if (seg.lost && !seg.rexmitted) lost_unrexmitted_bytes_ -= seg.len;
       rack_newest_delivered_ = std::max(rack_newest_delivered_, seg.sent_time);
-      scoreboard_.erase(scoreboard_.begin());
+      scoreboard_.pop_front();
     }
 
     // Karn's rule: only sample RTT if no retransmitted data is covered.
@@ -303,10 +310,10 @@ void TcpSender::on_ack(const Packet& ack) {
                            : data_limit() - std::min(data_limit(), snd_nxt_);
     cc_->on_ack(ev);
 
-    if (snd_nxt_ == snd_una_) {
-      rto_armed_ = false;  // nothing outstanding: quench the timer
-    } else {
-      rto_armed_ = false;  // restart on forward progress
+    // Restart the RTO on forward progress; with nothing outstanding,
+    // quench it.
+    rto_timer_.cancel();
+    if (snd_nxt_ != snd_una_) {
       arm_rto();
       arm_tlp();
     }
@@ -334,11 +341,12 @@ void TcpSender::on_ack(const Packet& ack) {
     // Pure-dupack fallback (no SACK information, e.g. a reordered ACK
     // burst): classic triple-dupack entry.
     if (!in_recovery_ && ack.num_sacks == 0 && dupacks_ >= config_.dupthresh) {
-      auto it = scoreboard_.find(snd_una_);
-      if (it != scoreboard_.end() && !it->second.lost) {
-        it->second.lost = true;
-        it->second.rexmitted = false;
-        lost_unrexmitted_bytes_ += it->second.len;
+      if (!scoreboard_.empty() && scoreboard_.front().seq == snd_una_ &&
+          !scoreboard_.front().lost) {
+        SegState& seg = scoreboard_.front();
+        seg.lost = true;
+        seg.rexmitted = false;
+        lost_unrexmitted_bytes_ += seg.len;
       }
       enter_recovery();
     }
@@ -348,16 +356,11 @@ void TcpSender::on_ack(const Packet& ack) {
 }
 
 void TcpSender::arm_rto() {
-  if (rto_armed_) return;
-  rto_armed_ = true;
-  const uint64_t gen = ++rto_generation_;
-  events_.schedule(rto_ * static_cast<double>(rto_backoff_),
-                   [this, gen] { on_rto_fire(gen); });
+  if (rto_timer_.armed()) return;
+  rto_timer_.arm(events_.now() + rto_ * static_cast<double>(rto_backoff_));
 }
 
-void TcpSender::on_rto_fire(uint64_t generation) {
-  if (generation != rto_generation_ || !rto_armed_) return;  // stale timer
-  rto_armed_ = false;
+void TcpSender::on_rto_fire() {
   if (snd_nxt_ == snd_una_) return;
 
   ++stats_.timeouts;
@@ -369,7 +372,7 @@ void TcpSender::on_rto_fire(uint64_t generation) {
 
   // Everything unsacked and outstanding is presumed lost.
   lost_unrexmitted_bytes_ = 0;
-  for (auto& [seq, seg] : scoreboard_) {
+  for (SegState& seg : scoreboard_) {
     if (!seg.sacked) {
       seg.lost = true;
       seg.rexmitted = false;
@@ -386,7 +389,13 @@ void TcpSender::on_rto_fire(uint64_t generation) {
 
 TcpReceiver::TcpReceiver(EventQueue& events, uint32_t flow_id,
                          TcpReceiverConfig config, Egress egress)
-    : events_(events), flow_id_(flow_id), config_(config), egress_(std::move(egress)) {}
+    : events_(events),
+      flow_id_(flow_id),
+      config_(config),
+      egress_(std::move(egress)),
+      delayed_timer_(events, [this] {
+        if (unacked_segments_ > 0) flush_delayed(delayed_trigger_);
+      }) {}
 
 void TcpReceiver::on_data(const Packet& pkt) {
   const uint64_t start = pkt.seq;
@@ -428,13 +437,8 @@ void TcpReceiver::on_data(const Packet& pkt) {
     if (unacked_segments_ >= 2) {
       flush_delayed(pkt);
     } else {
-      const uint64_t gen = ++delayed_timer_gen_;
-      Packet trigger = pkt;
-      events_.schedule(Duration::from_millis(1), [this, gen, trigger] {
-        if (gen == delayed_timer_gen_ && unacked_segments_ > 0) {
-          flush_delayed(trigger);
-        }
-      });
+      delayed_trigger_ = pkt;
+      delayed_timer_.arm(events_.now() + Duration::from_millis(1));
     }
     return;
   }
@@ -445,7 +449,7 @@ void TcpReceiver::on_data(const Packet& pkt) {
 
 void TcpReceiver::flush_delayed(const Packet& trigger) {
   unacked_segments_ = 0;
-  ++delayed_timer_gen_;
+  delayed_timer_.cancel();
   send_ack(trigger);
 }
 
@@ -483,7 +487,12 @@ void TcpReceiver::send_ack(const Packet& trigger) {
       }
     }
   }
-  for (const auto& [s, e] : ooo_) add_block(s, e);
+  // The blocks are full after kMaxSackBlocks ranges; stop there rather
+  // than walk every hole under heavy loss.
+  for (auto it = ooo_.begin();
+       it != ooo_.end() && ack.num_sacks < Packet::kMaxSackBlocks; ++it) {
+    add_block(it->first, it->second);
+  }
   egress_(ack);
 }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -17,6 +18,7 @@
 #include "datapath/cc_module.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/packet.hpp"
+#include "sim/timer.hpp"
 #include "util/quantiles.hpp"
 #include "util/time.hpp"
 
@@ -83,11 +85,13 @@ class TcpSender {
  private:
   // Scoreboard entry for one sent-but-not-cumulatively-acked segment.
   struct SegState {
+    uint64_t seq = 0;
     uint32_t len = 0;
     bool sacked = false;
     bool lost = false;
     bool rexmitted = false;     // retransmitted since marked lost
     TimePoint sent_time{};      // last (re)transmission time, for RACK
+    TimePoint first_sent{};     // first transmission; ascends with seq
   };
 
   void send_segment(uint64_t seq, uint32_t len, bool retransmit);
@@ -98,9 +102,9 @@ class TcpSender {
   void enter_recovery();
   void update_rtt(Duration sample);
   void arm_rto();
-  void on_rto_fire(uint64_t generation);
+  void on_rto_fire();
   void arm_tlp();
-  void on_tlp_fire(uint64_t generation);
+  void on_tlp_fire();
   void schedule_pacing_kick(TimePoint at);
   bool pacing_allows(uint32_t len);
   uint64_t data_limit() const;
@@ -118,8 +122,9 @@ class TcpSender {
   uint64_t high_rexmit_ = 0;  // Karn: no RTT samples at or below this seq
   uint64_t high_sacked_ = 0;  // highest byte covered by any SACK
 
-  // Scoreboard: seq -> state for every outstanding segment.
-  std::map<uint64_t, SegState> scoreboard_;
+  // Scoreboard: every outstanding segment, ascending and contiguous in
+  // seq. Segments are appended at snd_nxt_ and retired from the front.
+  std::deque<SegState> scoreboard_;
   uint64_t sacked_bytes_ = 0;
   uint64_t lost_unrexmitted_bytes_ = 0;
 
@@ -139,15 +144,13 @@ class TcpSender {
   Duration rttvar_ = Duration::zero();
   Duration rto_ = Duration::from_secs(1);
   uint32_t rto_backoff_ = 1;
-  uint64_t rto_generation_ = 0;
-  bool rto_armed_ = false;
+  Timer rto_timer_;
 
   // Tail loss probe (RFC 8985-lite): when ACK progress stalls for ~2
   // SRTT with data outstanding, retransmit the highest unSACKed segment
   // to elicit SACKs above tail holes, converting would-be RTOs into fast
   // recovery.
-  uint64_t tlp_generation_ = 0;
-  bool tlp_armed_ = false;
+  Timer tlp_timer_;
 
   // Pacing.
   TimePoint next_pace_time_{};
@@ -191,7 +194,8 @@ class TcpReceiver {
   uint64_t cum_ack_ = 0;
   std::map<uint64_t, uint64_t> ooo_;  // start -> end of buffered ranges
   uint32_t unacked_segments_ = 0;
-  uint64_t delayed_timer_gen_ = 0;
+  Packet delayed_trigger_;  // the segment a pending delayed ACK answers
+  Timer delayed_timer_;
   uint64_t next_uid_ = 1;
 };
 

@@ -3,6 +3,8 @@
 // the built-in scenario library.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <string>
 
 #include "algorithms/native/native_cubic.hpp"
@@ -186,6 +188,76 @@ TEST(Library, TwoSameCcaFlowsConverge) {
   const Scorecard card = run_scenario(spec);
   EXPECT_GE(card.convergence_secs, 0.0);
   EXPECT_LT(card.convergence_secs, 10.0);
+}
+
+// ---- golden scorecards ----
+//
+// Every built-in scenario, cut to 3 s, at seeds 1 and 7, pinned by a
+// 64-bit FNV-1a digest of its scorecard JSON. The simulator's event
+// order decides every byte of a scorecard, so these catch any refactor
+// of the event core, links or TCP that moves a single event. A rate
+// schedule is compressed by the same factor as the duration so the
+// variable-rate path stays inside the window. On a mismatch the message
+// carries the new digest; update a constant only for a change that is
+// meant to alter simulated behaviour.
+
+constexpr double kGoldenSecs = 3.0;
+
+uint64_t fnv1a64(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string hex64(uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+void expect_golden(const std::string& name, uint64_t seed, uint64_t digest) {
+  ScenarioSpec spec = builtin_scenario(name);
+  const double scale = kGoldenSecs / spec.duration_secs;
+  spec.duration_secs = kGoldenSecs;
+  for (LinkSpec& link : spec.links) {
+    for (sim::RateChange& change : link.rate_schedule) change.at = change.at * scale;
+  }
+  spec.seed = seed;
+  EXPECT_EQ(hex64(fnv1a64(run_scenario(spec).json())), hex64(digest))
+      << name << " seed " << seed;
+}
+
+TEST(ScenarioGolden, CubicVsBbr) {
+  expect_golden("cubic_vs_bbr", 1, 0xeb5f6a037b246988ULL);
+  expect_golden("cubic_vs_bbr", 7, 0xf8e8c36eca4866daULL);
+}
+
+TEST(ScenarioGolden, CubicVsBbrDeep) {
+  expect_golden("cubic_vs_bbr_deep", 1, 0xfec73830fd682b4aULL);
+  expect_golden("cubic_vs_bbr_deep", 7, 0x98bbcff7ba8e7c8cULL);
+}
+
+TEST(ScenarioGolden, ParkingLot) {
+  expect_golden("parking_lot", 1, 0x33b00b10eb80e1afULL);
+  expect_golden("parking_lot", 7, 0x314f389695ade199ULL);
+}
+
+TEST(ScenarioGolden, WirelessLoss) {
+  expect_golden("wireless_loss", 1, 0x8e79d176082fc333ULL);
+  expect_golden("wireless_loss", 7, 0x905c76ba6aabd99eULL);
+}
+
+TEST(ScenarioGolden, RttUnfairness) {
+  expect_golden("rtt_unfairness", 1, 0xb8db8ba54590d350ULL);
+  expect_golden("rtt_unfairness", 7, 0x6342adf379b7fa5aULL);
+}
+
+TEST(ScenarioGolden, MultipathCoupled) {
+  expect_golden("multipath_coupled", 1, 0x13f12b62237faa90ULL);
+  expect_golden("multipath_coupled", 7, 0x695b8b36837a8f4eULL);
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "sim/event_queue.hpp"
+#include "sim/timer.hpp"
 #include "util/rng.hpp"
 
 namespace ccp::sim {
@@ -86,6 +91,203 @@ TEST(EventQueue, DeterministicUnderRandomLoad) {
   };
   EXPECT_EQ(run_once(77), run_once(77));
   EXPECT_NE(run_once(77), run_once(78));
+}
+
+TEST(EventQueue, TicketedEventsInterleaveInReservationOrder) {
+  EventQueue q;
+  std::vector<int> order;
+  const TimePoint t = q.now() + Duration::from_millis(5);
+  // Reserve 1 and 3, schedule 0, 2 and 4 plainly in between, and queue
+  // the ticketed ones last: they still run where they were reserved.
+  q.schedule_at(t, [&] { order.push_back(0); });
+  const uint64_t first = q.take_ticket();
+  q.schedule_at(t, [&] { order.push_back(2); });
+  const uint64_t third = q.take_ticket();
+  q.schedule_at(t, [&] { order.push_back(4); });
+  q.schedule_at(t, third, [&] { order.push_back(3); });
+  q.schedule_at(t, first, [&] { order.push_back(1); });
+  // A ticket for an earlier time still runs first.
+  const uint64_t early = q.take_ticket();
+  q.schedule_at(t - Duration::from_millis(1), early, [&] { order.push_back(-1); });
+  q.run();
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4}));
+  EXPECT_EQ(q.pushes(), 6u);
+}
+
+TEST(EventQueue, TicketQueuedFromAnEarlierEventKeepsItsPlace) {
+  EventQueue q;
+  std::vector<int> order;
+  const TimePoint t = q.now() + Duration::from_millis(2);
+  const uint64_t late = q.take_ticket();
+  q.schedule_at(t, [&] { order.push_back(1); });
+  // Queued while the clock already reads t, behind a plain event that
+  // took its number later: the ticket's key still sorts first.
+  q.schedule(Duration::from_millis(1), [&] {
+    q.schedule_at(t, late, [&] { order.push_back(0); });
+  });
+  q.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+}
+
+TEST(EventQueue, RejectsTicketBehindTheRunningEvent) {
+  EventQueue q;
+  const uint64_t stale = q.take_ticket();
+  bool threw = false;
+  q.schedule(Duration::zero(), [&] {
+    try {
+      q.schedule_at(q.now(), stale, [] {});
+    } catch (const std::logic_error&) {
+      threw = true;
+    }
+  });
+  q.run();
+  EXPECT_TRUE(threw);
+}
+
+// ---- sim::Timer ----
+
+// Reference timer: one queued event per arm; a generation counter turns
+// superseded ones into no-ops. Timer must fire at the same (time, order).
+class NaiveTimer {
+ public:
+  NaiveTimer(EventQueue& q, std::function<void()> on_fire)
+      : q_(q), on_fire_(std::move(on_fire)) {}
+  void arm(TimePoint at) {
+    armed_ = true;
+    const uint64_t gen = ++gen_;
+    q_.schedule_at(at, [this, gen] {
+      if (gen != gen_ || !armed_) return;
+      armed_ = false;
+      on_fire_();
+    });
+  }
+  void cancel() { armed_ = false; }
+  bool armed() const { return armed_; }
+
+ private:
+  EventQueue& q_;
+  std::function<void()> on_fire_;
+  bool armed_ = false;
+  uint64_t gen_ = 0;
+};
+
+struct ScriptLog {
+  std::vector<std::pair<int64_t, int>> entries;  // (time ns, what)
+  uint64_t pushes = 0;
+  int fires = 0;
+};
+
+// Drives a timer through a seeded script of arm / cancel / re-arm
+// earlier / re-arm later / re-arm at now, from script steps and from
+// inside its own callback, with plain events interleaved at the same
+// instants. Logs every script step, plain event and fire in run order.
+template <typename TimerT>
+ScriptLog run_timer_script(uint64_t seed) {
+  EventQueue q;
+  Rng rng(seed);
+  ScriptLog log;
+  TimePoint deadline{};  // of the latest arm
+  std::function<void(TimerT&)> random_op = [&](TimerT& timer) {
+    const TimePoint now = q.now();
+    const auto ns = [](uint64_t n) { return Duration::from_nanos(static_cast<int64_t>(n)); };
+    const auto arm = [&](TimePoint at) {
+      deadline = at;
+      timer.arm(at);
+    };
+    switch (rng.next_below(6)) {
+      case 0:
+        arm(now + ns(rng.next_below(400)));
+        break;
+      case 1:
+        timer.cancel();
+        break;
+      case 2:  // earlier (or equal), when armed
+        if (timer.armed()) arm(now + ns(rng.next_below((deadline - now).nanos() + 1)));
+        break;
+      case 3:  // later
+        arm((timer.armed() ? deadline : now) + ns(1 + rng.next_below(400)));
+        break;
+      case 4:
+        arm(now);
+        break;
+      default:  // a plain event, possibly at this very instant
+        const int tag = 1000 + static_cast<int>(rng.next_below(1000));
+        q.schedule(ns(rng.next_below(3) == 0 ? 0 : rng.next_below(400)),
+                   [&log, &q, tag] { log.entries.push_back({q.now().nanos(), tag}); });
+        break;
+    }
+  };
+  TimerT* self = nullptr;
+  TimerT timer(q, [&] {
+    ++log.fires;
+    log.entries.push_back({q.now().nanos(), -1});
+    if (rng.next_below(2) == 0) random_op(*self);
+  });
+  self = &timer;
+  int steps = 0;
+  std::function<void()> drive = [&] {
+    log.entries.push_back({q.now().nanos(), steps});
+    const int ops = 1 + static_cast<int>(rng.next_below(3));
+    for (int i = 0; i < ops; ++i) random_op(timer);
+    if (++steps < 3000) {
+      q.schedule(Duration::from_nanos(static_cast<int64_t>(rng.next_below(250))), drive);
+    }
+  };
+  q.schedule(Duration::zero(), drive);
+  q.run();
+  log.pushes = q.pushes();
+  return log;
+}
+
+TEST(Timer, MatchesOneEventPerArmReference) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const ScriptLog lazy = run_timer_script<Timer>(seed);
+    const ScriptLog naive = run_timer_script<NaiveTimer>(seed);
+    EXPECT_GT(naive.fires, 100) << "seed " << seed;
+    EXPECT_EQ(lazy.fires, naive.fires) << "seed " << seed;
+    EXPECT_EQ(lazy.entries, naive.entries) << "seed " << seed;
+    EXPECT_LT(lazy.pushes, naive.pushes) << "seed " << seed;
+  }
+}
+
+TEST(Timer, ReArmingLaterQueuesNoNewEvent) {
+  EventQueue q;
+  int fired = 0;
+  TimePoint fired_at{};
+  Timer timer(q, [&] {
+    ++fired;
+    fired_at = q.now();
+  });
+  for (int i = 1; i <= 1000; ++i) {
+    timer.arm(TimePoint::epoch() + Duration::from_micros(i));
+  }
+  EXPECT_EQ(q.pushes(), 1u);
+  q.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(fired_at, TimePoint::epoch() + Duration::from_micros(1000));
+}
+
+TEST(Timer, ReArmingEarlierQueuesAndFiresOnce) {
+  EventQueue q;
+  std::vector<int64_t> fired_at;
+  Timer timer(q, [&] { fired_at.push_back(q.now().nanos()); });
+  timer.arm(TimePoint::epoch() + Duration::from_micros(10));
+  timer.arm(TimePoint::epoch() + Duration::from_micros(5));
+  EXPECT_EQ(q.pushes(), 2u);
+  q.run();
+  EXPECT_EQ(fired_at, (std::vector<int64_t>{5000}));
+  EXPECT_FALSE(timer.armed());
+}
+
+TEST(Timer, CancelledTimerStaysQuiet) {
+  EventQueue q;
+  int fired = 0;
+  Timer timer(q, [&] { ++fired; });
+  timer.arm(TimePoint::epoch() + Duration::from_micros(10));
+  q.schedule(Duration::from_micros(3), [&] { timer.cancel(); });
+  q.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_FALSE(timer.armed());
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "sim/link.hpp"
 
 namespace ccp::sim {
@@ -120,6 +124,92 @@ TEST(DelayPipe, PureDelay) {
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ((arrivals[0] - TimePoint::epoch()).millis(), 5);
   EXPECT_EQ((arrivals[1] - TimePoint::epoch()).millis(), 5);  // no serialization
+}
+
+TEST(DelayPipe, ZeroDelayReentrantEnqueueStaysFifo) {
+  EventQueue q;
+  std::vector<uint64_t> order;
+  DelayPipe* self = nullptr;
+  DelayPipe pipe(q, Duration::zero(), [&](Packet p) {
+    order.push_back(p.seq);
+    // Each of the first packets sends another through the same pipe,
+    // from inside the delivery.
+    if (p.seq < 20) self->enqueue(data_pkt(0, p.seq + 3, 100));
+  });
+  self = &pipe;
+  // Plain events reserved between the pipe's packets keep their places.
+  pipe.enqueue(data_pkt(0, 1, 100));
+  q.schedule(Duration::zero(), [&] { order.push_back(100); });
+  pipe.enqueue(data_pkt(0, 2, 100));
+  pipe.enqueue(data_pkt(0, 3, 100));
+  q.schedule(Duration::zero(), [&] { order.push_back(101); });
+  // Everything happens at time zero.
+  q.run_until(TimePoint::epoch());
+  std::vector<uint64_t> expected = {1, 100, 2, 3, 101};
+  for (uint64_t seq = 4; seq <= 22; ++seq) expected.push_back(seq);
+  EXPECT_EQ(order, expected);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(DelayPipe, KeepsOneQueuedEventForAllPacketsInFlight) {
+  EventQueue q;
+  int delivered = 0;
+  DelayPipe pipe(q, Duration::from_millis(5), [&](Packet) { ++delivered; });
+  for (int i = 0; i < 100; ++i) {
+    q.schedule(Duration::from_micros(i), [&pipe, i] { pipe.enqueue(data_pkt(0, i, 100)); });
+  }
+  q.run_until(TimePoint::epoch() + Duration::from_millis(1));
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(q.pending(), 1u);
+  q.run();
+  EXPECT_EQ(delivered, 100);
+}
+
+TEST(PacketLine, RejectsADeliveryBeforeTheOneAheadOfIt) {
+  EventQueue q;
+  PacketLine line(q, [](Packet) {});
+  line.push(TimePoint::epoch() + Duration::from_millis(5), data_pkt(0, 0, 100));
+  EXPECT_THROW(line.push(TimePoint::epoch() + Duration::from_millis(4), data_pkt(0, 1, 100)),
+               std::logic_error);
+}
+
+TEST(Link, DeliveriesStayOrderedAcrossRateChange) {
+  EventQueue q;
+  LinkConfig cfg;
+  cfg.rate_bps = 8e6;  // 1000 wire bytes -> 1 ms
+  cfg.prop_delay = Duration::from_millis(1);
+  cfg.rate_schedule = {{Duration::from_micros(2500), 16e6}};  // -> 0.5 ms
+  std::vector<std::pair<uint64_t, int64_t>> got;  // (seq, arrival us)
+  Link link(q, cfg, [&](Packet p) {
+    got.push_back({p.seq, (q.now() - TimePoint::epoch()).micros()});
+  });
+  for (uint64_t i = 0; i < 6; ++i) link.enqueue(data_pkt(0, i, 960));
+  q.run();
+  // Services start at 0, 1, 2 ms at the old rate (the one in service at
+  // 2.5 ms keeps it), then 3, 3.5, 4 ms at the new one; each delivery
+  // follows its serialization by the 1 ms propagation delay.
+  const std::vector<std::pair<uint64_t, int64_t>> expected = {
+      {0, 2000}, {1, 3000}, {2, 4000}, {3, 4500}, {4, 5000}, {5, 5500}};
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(link.stats().rate_changes_applied, 1u);
+}
+
+TEST(Link, KeepsOneDeliveryEventForPacketsInPropagation) {
+  EventQueue q;
+  LinkConfig cfg;
+  cfg.rate_bps = 1e9;
+  cfg.prop_delay = Duration::from_millis(10);
+  cfg.queue_capacity_bytes = 1'000'000;
+  int delivered = 0;
+  Link link(q, cfg, [&](Packet) { ++delivered; });
+  for (int i = 0; i < 50; ++i) link.enqueue(data_pkt(0, i * 960, 960));
+  // All 50 are serialized within 0.5 ms and propagating: one queued
+  // event delivers them all.
+  q.run_until(TimePoint::epoch() + Duration::from_millis(1));
+  EXPECT_EQ(link.queue_bytes(), 0u);
+  EXPECT_EQ(q.pending(), 1u);
+  q.run();
+  EXPECT_EQ(delivered, 50);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "algorithms/native/native_reno.hpp"
 #include "sim/dumbbell.hpp"
 #include "sim/tcp.hpp"
@@ -66,6 +69,32 @@ TEST(TcpReceiver, MergesAdjacentOooRanges) {
   ASSERT_EQ(log.acks[2].num_sacks, 1);
   EXPECT_EQ(log.acks[2].sack_start[0], 2000u);
   EXPECT_EQ(log.acks[2].sack_end[0], 5000u);
+}
+
+TEST(TcpReceiver, SackBlocksCapAtFourWithTriggerFirst) {
+  EventQueue q;
+  AckLog log;
+  TcpReceiver rx(q, 0, {}, log.egress());
+  // Seven ranges above a hole at 0: more than the four blocks carry.
+  for (uint64_t start = 2000; start <= 14000; start += 2000) {
+    rx.on_data(seg(start, 1000));
+  }
+  const auto blocks = [](const Packet& ack) {
+    std::vector<std::pair<uint64_t, uint64_t>> out;
+    for (uint8_t i = 0; i < ack.num_sacks; ++i) {
+      out.push_back({ack.sack_start[i], ack.sack_end[i]});
+    }
+    return out;
+  };
+  using Blocks = std::vector<std::pair<uint64_t, uint64_t>>;
+  // The triggering range first, then the lowest ranges.
+  EXPECT_EQ(blocks(log.acks.back()),
+            (Blocks{{14000, 15000}, {2000, 3000}, {4000, 5000}, {6000, 7000}}));
+  // A trigger among the lowest ranges is not repeated; the next range
+  // up takes its place.
+  rx.on_data(seg(4000, 1000));
+  EXPECT_EQ(blocks(log.acks.back()),
+            (Blocks{{4000, 5000}, {2000, 3000}, {6000, 7000}, {8000, 9000}}));
 }
 
 TEST(TcpReceiver, DuplicateDataReAcked) {
