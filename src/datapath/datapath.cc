@@ -15,11 +15,10 @@ CcpDatapath::CcpDatapath(DatapathConfig config, FrameTx tx)
   // One sink shared by every flow the table constructs (copied per slot
   // construction, not per create — recycled slots keep their copy).
   flows_.set_sink([this](const ipc::Message& msg, bool urgent) {
-    // `oldest_pending_` needs a timestamp; flows stamp messages via the
-    // enqueue path below with the time of their triggering event. We use
-    // the flow's last event time implicitly: enqueue() receives it from
-    // tick()/on_ack() callers through the flow; here we approximate with
-    // the batcher's own clock, which tick() keeps fresh.
+    // Flow messages carry the last tick() time, not their own event's
+    // time. That time is never later than the event, so the batch ages
+    // from a point up to one tick early: a flush can come up to one tick
+    // early, never late.
     enqueue(msg, urgent, last_event_time_);
   });
   flows_.reserve(config_.expected_flows);
@@ -92,67 +91,13 @@ void CcpDatapath::close_flow(ipc::FlowId id, TimePoint now) {
 
 void CcpDatapath::on_ack_batch(std::span<const FlowAck> burst) {
   if (flows_.rehash_pending()) [[unlikely]] pump_rehash();
-  // Intake prefetch pipeline. At million-flow scale the per-ACK cost is
-  // dominated by dependent cache misses: the index bucket line, then the
-  // flow object's lines, then the lines behind the flow's pointers (hot
-  // block, estimator rings, fold state). Each chunk of 32 ACKs runs
-  // three full-width sweeps before any ACK is processed, so every level
-  // of the dependency chain is issued a whole sweep (hundreds of ns)
-  // ahead of its first use:
-  //   sweep 1  pull every index bucket line (pure hash, no loads)
-  //   sweep 2  resolve every flow pointer (buckets now warm) and
-  //            prefetch the flow objects' own lines — address
-  //            arithmetic only, stalls on nothing
-  //   sweep 3  dereference the (now warm) flows to prefetch the
-  //            indirect lines: ring write positions, fold state
-  //            (GCC deletes this sweep today: docs/PERF.md "Burst intake")
-  // Holding resolved pointers across the chunk is safe because nothing
-  // inside a burst can create or close flows: emission goes sink ->
-  // enqueue -> FrameTx, and no FrameTx re-enters the flow lifecycle
-  // (close_flow / create_flow happen between bursts, on the owner
-  // thread).
-  // A Zipf-popular stream is mostly repeats of a few hot flows whose
-  // lines are already resident; prefetching those again wastes the issue
-  // slots and fill-buffer probes the genuinely cold flows need. The
-  // resolve sweep dedups per chunk through find_mark(): the first
-  // resolution of a flow prefetches, repeats come back tagged (pointer
-  // low bit) so the deep sweep skips them too.
-  static constexpr size_t kChunk = 32;
-  static constexpr uintptr_t kSeenTag = 1;
-  CcpFlow* look[kChunk];
-  for (size_t base = 0; base < burst.size(); base += kChunk) {
-    const size_t n = std::min(burst.size() - base, kChunk);
-    const FlowAck* const acks = burst.data() + base;
-    if (++burst_stamp_ == 0) ++burst_stamp_;  // 0 is the fresh-bucket value
-    for (size_t i = 0; i < n; ++i) flows_.prefetch(acks[i].flow_id);
-    for (size_t i = 0; i < n; ++i) {
-      bool fresh = false;
-      CcpFlow* f = flows_.find_mark(acks[i].flow_id, burst_stamp_, fresh);
-      if (f != nullptr && fresh) {
-        f->prefetch_self();
-      } else if (f != nullptr) {
-        f = reinterpret_cast<CcpFlow*>(reinterpret_cast<uintptr_t>(f) |
-                                       kSeenTag);
-      }
-      look[i] = f;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      CcpFlow* f = look[i];
-      if (f != nullptr && (reinterpret_cast<uintptr_t>(f) & kSeenTag) == 0) {
-        f->prefetch_for_ack();
-      }
-    }
-    // Then the plain per-ACK calls, in arrival order.
-    for (size_t i = 0; i < n; ++i) {
-      CcpFlow* flow = reinterpret_cast<CcpFlow*>(
-          reinterpret_cast<uintptr_t>(look[i]) & ~kSeenTag);
-      if (flow == nullptr) continue;
-      const FlowAck& fa = acks[i];
-      if (fa.sent_bytes > 0) {
-        flow->on_send(SendEvent{fa.ev.now, fa.sent_bytes});
-      }
-      flow->on_ack(fa.ev);
-    }
+  // No prefetching: sweeps ahead of this loop did not pay, even at a
+  // million flows (docs/PERF.md "Burst intake").
+  for (const FlowAck& fa : burst) {
+    CcpFlow* flow = flows_.find(fa.flow_id);
+    if (flow == nullptr) continue;
+    if (fa.sent_bytes > 0) flow->on_send(SendEvent{fa.ev.now, fa.sent_bytes});
+    flow->on_ack(fa.ev);
   }
 }
 

@@ -85,11 +85,9 @@ class CcpDatapath {
 
   /// Feeds a whole burst of ACKs: exactly the per-ACK on_send (when
   /// sent_bytes > 0) then on_ack sequence in arrival order (same messages,
-  /// same bytes), with the flow lookups and the flows' cache lines
-  /// prefetched a chunk ahead so cold flows' misses overlap. Unknown flow
-  /// ids are skipped. Each call also pumps one bounded incremental-rehash
-  /// step when a flow-index grow is draining, so table growth never
-  /// stalls a burst.
+  /// same bytes). Unknown flow ids are skipped. Each call also pumps one
+  /// bounded incremental-rehash step when a flow-index grow is draining,
+  /// so table growth never stalls a burst.
   void on_ack_batch(std::span<const FlowAck> burst);
 
   /// Feeds one frame from the agent. Malformed frames and bad programs
@@ -134,8 +132,8 @@ class CcpDatapath {
 
   DatapathConfig config_;
   FrameTx tx_;
-  // Two-tier slab flow storage (hot FlowHot slab + parked-recycled cold
-  // CcpFlow slab) behind an incremental-rehash FlowId index. Also owns
+  // Slab flow storage (parked-recycled CcpFlow slots) behind an
+  // incremental-rehash FlowId index. Also owns
   // the interned algorithm-hint pool resync replays read — one pooled
   // string per distinct hint, not a heap string per flow.
   FlowTable flows_;
@@ -167,8 +165,6 @@ class CcpDatapath {
   // back to a local vector.
   std::vector<ipc::Message> rx_scratch_;
   bool rx_busy_ = false;
-
-  uint32_t burst_stamp_ = 0;  // FlowTable::find_mark prefetch dedup (0 reserved)
 
   DatapathStats stats_;
   telemetry::ShardStats* shard_stats_ = nullptr;  // sharded mode only

@@ -66,20 +66,14 @@ control {
 
 }  // namespace
 
-CcpFlow::CcpFlow(ipc::FlowId id, FlowConfig config, MessageSink sink,
-                 FlowHot* hot)
+CcpFlow::CcpFlow(ipc::FlowId id, FlowConfig config, MessageSink sink)
     : id_(id),
       config_(config),
       sink_(std::move(sink)),
-      owned_hot_(hot == nullptr ? std::make_unique<FlowHot>() : nullptr),
-      hot_(hot != nullptr ? hot : owned_hot_.get()),
       snd_rate_(config.rate_window, config.rate_ring_entries),
       rcv_rate_(config.rate_window, config.rate_ring_entries) {
-  // Slab blocks are recycled across flows; start from a clean block
-  // either way (a freshly owned block is already value-initialized).
-  *hot_ = FlowHot{};
-  hot_->cwnd_bytes = config.init_cwnd_bytes;
-  hot_->cwnd_target_bytes = config.init_cwnd_bytes;
+  hot_.cwnd_bytes = config.init_cwnd_bytes;
+  hot_.cwnd_target_bytes = config.init_cwnd_bytes;
   // Shared across every flow: the default program is compiled exactly
   // once per process, not once per flow.
   program_ = lang::compile_text_shared(kDefaultProgram);
@@ -114,9 +108,9 @@ void CcpFlow::park() {
 void CcpFlow::reset_for_reuse(ipc::FlowId id, const FlowConfig& config) {
   id_ = id;
   config_ = config;
-  *hot_ = FlowHot{};
-  hot_->cwnd_bytes = config.init_cwnd_bytes;
-  hot_->cwnd_target_bytes = config.init_cwnd_bytes;
+  hot_ = FlowHot{};
+  hot_.cwnd_bytes = config.init_cwnd_bytes;
+  hot_.cwnd_target_bytes = config.init_cwnd_bytes;
   last_pkt_ = lang::PktInfo{};
   snd_rate_.reinit(config.rate_window, config.rate_ring_entries);
   rcv_rate_.reinit(config.rate_window, config.rate_ring_entries);
@@ -137,11 +131,11 @@ void CcpFlow::reset_for_reuse(ipc::FlowId id, const FlowConfig& config) {
 }
 
 Duration CcpFlow::srtt() const {
-  return Duration::from_nanos(static_cast<int64_t>(hot_->srtt_us.value() * 1000.0));
+  return Duration::from_nanos(static_cast<int64_t>(hot_.srtt_us.value() * 1000.0));
 }
 
 Duration CcpFlow::rtt_or_default() const {
-  if (hot_->srtt_us.initialized() && hot_->srtt_us.value() > 0) return srtt();
+  if (hot_.srtt_us.initialized() && hot_.srtt_us.value() > 0) return srtt();
   return config_.default_report_interval;
 }
 
@@ -154,12 +148,12 @@ Duration CcpFlow::rtt_or_default() const {
 // with two set_window calls (each invalidating the rate caches) was pure
 // overhead on the steady-state path.
 void CcpFlow::tune_rate_windows() {
-  if (!hot_->srtt_us.initialized()) return;
-  const double cur = hot_->srtt_us.value();
-  if (cur > hot_->tuned_srtt_us * 0.97 && cur < hot_->tuned_srtt_us * 1.03) {
+  if (!hot_.srtt_us.initialized()) return;
+  const double cur = hot_.srtt_us.value();
+  if (cur > hot_.tuned_srtt_us * 0.97 && cur < hot_.tuned_srtt_us * 1.03) {
     return;
   }
-  hot_->tuned_srtt_us = cur;
+  hot_.tuned_srtt_us = cur;
   const Duration window = std::max(srtt(), Duration::from_millis(1));
   snd_rate_.set_window(window);
   rcv_rate_.set_window(window);
@@ -172,7 +166,7 @@ void CcpFlow::tune_rate_windows() {
 void CcpFlow::fill_pkt_info(const AckEvent& ev) {
   lang::PktInfo& pkt = last_pkt_;
   pkt.rtt_us = ev.rtt_sample.is_zero()
-                   ? hot_->srtt_us.value()
+                   ? hot_.srtt_us.value()
                    : static_cast<double>(ev.rtt_sample.micros());
   pkt.bytes_acked = static_cast<double>(ev.bytes_acked);
   pkt.packets_acked = static_cast<double>(ev.packets_acked);
@@ -199,27 +193,27 @@ void CcpFlow::fill_pkt_info(const AckEvent& ev) {
   pkt.bytes_pending = static_cast<double>(ev.bytes_pending);
   pkt.now_us = static_cast<double>(ev.now.nanos()) / 1000.0;
   pkt.mss = static_cast<double>(config_.mss);
-  pkt.cwnd = static_cast<double>(hot_->cwnd_bytes);
-  pkt.rate_bps = hot_->rate_bps;
+  pkt.cwnd = static_cast<double>(hot_.cwnd_bytes);
+  pkt.rate_bps = hot_.rate_bps;
 }
 
 void CcpFlow::measure_ack(const AckEvent& ev) {
-  ++hot_->acks_seen;  // plain; drained into ccp_dp_acks_total at flush points
-  if (config_.smooth_cwnd && hot_->cwnd_target_bytes > hot_->cwnd_bytes) {
+  ++hot_.acks_seen;  // plain; drained into ccp_dp_acks_total at flush points
+  if (config_.smooth_cwnd && hot_.cwnd_target_bytes > hot_.cwnd_bytes) {
     // Open the window by at most the bytes this ACK freed: the ramp is
     // ACK-clocked, so the instantaneous send rate never exceeds 2x the
     // bottleneck (classic slow-start pacing, never a window-sized burst).
-    hot_->cwnd_bytes =
-        std::min(hot_->cwnd_target_bytes, hot_->cwnd_bytes + ev.bytes_acked);
+    hot_.cwnd_bytes =
+        std::min(hot_.cwnd_target_bytes, hot_.cwnd_bytes + ev.bytes_acked);
   }
   if (!ev.rtt_sample.is_zero()) {
-    hot_->srtt_us.update(static_cast<double>(ev.rtt_sample.micros()));
+    hot_.srtt_us.update(static_cast<double>(ev.rtt_sample.micros()));
   }
   rcv_rate_.on_bytes(ev.bytes_delivered > 0 ? ev.bytes_delivered : ev.bytes_acked,
                      ev.now);
 
   fill_pkt_info(ev);
-  if (hot_->vector_mode &&
+  if (hot_.vector_mode &&
       vector_samples_.size() <
           config_.max_vector_samples * kVectorFieldsPerPkt) {
     const lang::PktInfo& pkt = last_pkt_;
@@ -235,14 +229,14 @@ void CcpFlow::on_ack(const AckEvent& ev) {
   // is the per-ACK path's only telemetry instruction); when sampling is
   // on, every (mask+1)th ACK of this flow collects per-stage rdtsc
   // stamps on the stack (zero-alloc) and commits them in one cold call
-  // at fold_event exit. ACK accounting is per-flow (hot_->acks_seen, a
+  // at fold_event exit. ACK accounting is per-flow (hot_.acks_seen, a
   // plain store in measure_ack) and drained into the global atomic
   // counter at report/tick/close — no lock-prefixed add per ACK.
   telemetry::ProfSample prof;
   telemetry::ProfSample* ps = nullptr;
   const uint32_t mask = telemetry::profile_sample_mask();
   if (mask != 0 &&
-      (static_cast<uint32_t>(hot_->acks_folded_total) & mask) == 0) [[unlikely]] {
+      (static_cast<uint32_t>(hot_.acks_folded_total) & mask) == 0) [[unlikely]] {
     ps = &prof;
     prof.entry = telemetry::prof_cycles();
   }
@@ -254,7 +248,7 @@ void CcpFlow::on_ack(const AckEvent& ev) {
 void CcpFlow::on_loss(const LossEvent& ev) {
   if (telemetry::enabled()) telemetry::metrics().dp_loss_events.inc();
   lang::PktInfo pkt;
-  pkt.rtt_us = hot_->srtt_us.value();
+  pkt.rtt_us = hot_.srtt_us.value();
   pkt.lost_packets = static_cast<double>(ev.lost_packets);
   // Exact-now rates, but only from recording estimators: a paused one
   // holds stale history nothing may read, so it reports 0 as
@@ -267,8 +261,8 @@ void CcpFlow::on_loss(const LossEvent& ev) {
   pkt.bytes_in_flight = static_cast<double>(ev.bytes_in_flight);
   pkt.now_us = static_cast<double>(ev.now.nanos()) / 1000.0;
   pkt.mss = static_cast<double>(config_.mss);
-  pkt.cwnd = static_cast<double>(hot_->cwnd_bytes);
-  pkt.rate_bps = hot_->rate_bps;
+  pkt.cwnd = static_cast<double>(hot_.cwnd_bytes);
+  pkt.rate_bps = hot_.rate_bps;
   last_pkt_ = pkt;
   fold_event(ev.now);
 }
@@ -276,19 +270,19 @@ void CcpFlow::on_loss(const LossEvent& ev) {
 void CcpFlow::on_timeout(const TimeoutEvent& ev) {
   if (telemetry::enabled()) telemetry::metrics().dp_timeouts.inc();
   lang::PktInfo pkt;
-  pkt.rtt_us = hot_->srtt_us.value();
+  pkt.rtt_us = hot_.srtt_us.value();
   pkt.was_timeout = 1.0;
   pkt.now_us = static_cast<double>(ev.now.nanos()) / 1000.0;
   pkt.mss = static_cast<double>(config_.mss);
-  pkt.cwnd = static_cast<double>(hot_->cwnd_bytes);
-  pkt.rate_bps = hot_->rate_bps;
+  pkt.cwnd = static_cast<double>(hot_.cwnd_bytes);
+  pkt.rate_bps = hot_.rate_bps;
   last_pkt_ = pkt;
   fold_event(ev.now);
 }
 
 void CcpFlow::fold_event(TimePoint now, telemetry::ProfSample* ps) {
-  ++hot_->acks_since_report;
-  ++hot_->acks_folded_total;
+  ++hot_.acks_since_report;
+  ++hot_.acks_folded_total;
   check_watchdog(now);
   if (ps) ps->watchdog = telemetry::prof_cycles();
   const bool urgent = fold_.on_packet(last_pkt_);
@@ -297,8 +291,8 @@ void CcpFlow::fold_event(TimePoint now, telemetry::ProfSample* ps) {
   // a large loss episode every ACK can mark new losses; the agent only
   // needs to hear about the episode once per control period (its own
   // response cadence, §2.3), not once per ACK.
-  if (urgent && !hot_->urgent_since_report) {
-    hot_->urgent_since_report = true;
+  if (urgent && !hot_.urgent_since_report) {
+    hot_.urgent_since_report = true;
     emit_urgent(last_pkt_.was_timeout != 0.0  ? ipc::UrgentKind::Timeout
                 : last_pkt_.lost_packets > 0  ? ipc::UrgentKind::Loss
                 : last_pkt_.ecn != 0.0        ? ipc::UrgentKind::Ecn
@@ -306,7 +300,7 @@ void CcpFlow::fold_event(TimePoint now, telemetry::ProfSample* ps) {
   }
   // Steady-state fast path: while a control wait is pending, run_control
   // would return immediately — skip the call.
-  if (!hot_->waiting || now >= hot_->wait_until) run_control(now);
+  if (!hot_.waiting || now >= hot_.wait_until) run_control(now);
   if (ps) {
     ps->done = telemetry::prof_cycles();
     telemetry::prof_commit(*ps, fold_.jit_active());
@@ -322,7 +316,7 @@ void CcpFlow::check_watchdog_slow(TimePoint now) {
   // Self-heal after a state transition that left an expired deadline
   // behind: a disarmed flow parks at max() and never comes back here.
   if (!watchdog_enabled_ || !agent_has_programmed_ || in_fallback_) {
-    hot_->watchdog_deadline = TimePoint::max();
+    hot_.watchdog_deadline = TimePoint::max();
     return;
   }
   // Stale only past *both* thresholds: the fixed agent_timeout (zero =
@@ -336,7 +330,7 @@ void CcpFlow::check_watchdog_slow(TimePoint now) {
     // Not stale: re-arm the fast-path deadline with the current srtt.
     // Agent contact after this leaves the deadline conservatively early;
     // the next crossing just lands here again and re-arms.
-    hot_->watchdog_deadline = last_agent_contact_ + threshold;
+    hot_.watchdog_deadline = last_agent_contact_ + threshold;
     return;
   }
   CCP_WARN("flow %u: agent silent for %lld ms; engaging datapath fallback",
@@ -353,7 +347,7 @@ void CcpFlow::enter_fallback(TimePoint now) {
   msg.var_names = {"init_cwnd", "ssthresh"};
   // Resume conservatively from half the current window, in congestion
   // avoidance (win == ssthresh).
-  const double half = std::max(static_cast<double>(hot_->cwnd_bytes) / 2.0,
+  const double half = std::max(static_cast<double>(hot_.cwnd_bytes) / 2.0,
                                2.0 * config_.mss);
   msg.var_values = {half, half};
   install(msg, now);
@@ -375,7 +369,7 @@ void CcpFlow::record_fallback_exit(TimePoint now) {
     m.fallback_recovery_ns.record(ns > 0 ? static_cast<uint64_t>(ns) : 0);
   }
   telemetry::trace(telemetry::TraceKind::FallbackExit, id_,
-                   static_cast<double>(hot_->cwnd_bytes));
+                   static_cast<double>(hot_.cwnd_bytes));
 }
 
 void CcpFlow::reinstall_default(TimePoint now) {
@@ -385,9 +379,9 @@ void CcpFlow::reinstall_default(TimePoint now) {
 
 void CcpFlow::run_control(TimePoint now) {
   if (program_ == nullptr || program_->control_ops.empty()) return;
-  if (hot_->waiting) {
-    if (now < hot_->wait_until) return;
-    hot_->waiting = false;
+  if (hot_.waiting) {
+    if (now < hot_.wait_until) return;
+    hot_.waiting = false;
     if (advance_pc_on_resume_) {
       ++control_pc_;
       if (control_pc_ >= program_->control_ops.size()) control_pc_ = 0;
@@ -399,11 +393,11 @@ void CcpFlow::run_control(TimePoint now) {
   // natural control timescale, §2.3).
   size_t executed = 0;
   const size_t n = program_->control_ops.size();
-  while (!hot_->waiting) {
+  while (!hot_.waiting) {
     if (executed++ >= n) {
-      hot_->waiting = true;
+      hot_.waiting = true;
       advance_pc_on_resume_ = false;  // resume from this pc, don't skip it
-      hot_->wait_until = now + rtt_or_default();
+      hot_.wait_until = now + rtt_or_default();
       return;
     }
     const auto op = program_->control_ops[control_pc_];
@@ -416,17 +410,17 @@ void CcpFlow::run_control(TimePoint now) {
         break;
       case lang::ControlInstr::Op::Wait: {
         const double us = fold_.eval_control_arg(control_pc_, last_pkt_);
-        hot_->waiting = true;
+        hot_.waiting = true;
         advance_pc_on_resume_ = true;
-        hot_->wait_until =
+        hot_.wait_until =
             now + Duration::from_nanos(static_cast<int64_t>(std::max(0.0, us) * 1000));
         return;  // pc advances when the wait expires
       }
       case lang::ControlInstr::Op::WaitRtts: {
         const double rtts = fold_.eval_control_arg(control_pc_, last_pkt_);
-        hot_->waiting = true;
+        hot_.waiting = true;
         advance_pc_on_resume_ = true;
-        hot_->wait_until = now + rtt_or_default() * std::max(0.0, rtts);
+        hot_.wait_until = now + rtt_or_default() * std::max(0.0, rtts);
         return;
       }
       case lang::ControlInstr::Op::Report:
@@ -443,7 +437,7 @@ void CcpFlow::emit_report(TimePoint now) {
   auto& msg = std::get<ipc::MeasurementMsg>(report_msg_);
   msg.flow_id = id_;
   msg.report_seq = report_seq_++;
-  msg.num_acks_folded = hot_->acks_since_report;
+  msg.num_acks_folded = hot_.acks_since_report;
   if (telemetry::enabled()) {
     auto& m = telemetry::metrics();
     m.dp_acks.inc(take_unreported_acks());
@@ -462,7 +456,7 @@ void CcpFlow::emit_report(TimePoint now) {
     msg.emitted_ns = 0;
     msg.span_id = 0;
   }
-  if (hot_->vector_mode) {
+  if (hot_.vector_mode) {
     msg.is_vector = true;
     // Copy instead of move: vector_samples_ keeps its capacity, so the
     // next interval's samples append without reallocating. Grow the
@@ -481,8 +475,8 @@ void CcpFlow::emit_report(TimePoint now) {
   }
   sink_(report_msg_, /*urgent=*/false);
   fold_.reset_volatile();
-  hot_->acks_since_report = 0;
-  hot_->urgent_since_report = false;
+  hot_.acks_since_report = 0;
+  hot_.urgent_since_report = false;
 }
 
 void CcpFlow::emit_urgent(ipc::UrgentKind kind) {
@@ -510,18 +504,18 @@ void CcpFlow::set_cwnd(double bytes) {
                  static_cast<double>(config_.max_cwnd_bytes));
   const uint64_t target = static_cast<uint64_t>(clamped);
   telemetry::trace(telemetry::TraceKind::SetCwnd, id_, clamped);
-  hot_->cwnd_target_bytes = target;
-  if (!config_.smooth_cwnd || target <= hot_->cwnd_bytes) {
+  hot_.cwnd_target_bytes = target;
+  if (!config_.smooth_cwnd || target <= hot_.cwnd_bytes) {
     // Decreases (and everything when smoothing is off) apply immediately.
-    hot_->cwnd_bytes = target;
+    hot_.cwnd_bytes = target;
   }
   // Increases ramp ACK-clocked in on_ack() (§3: "smooth congestion
   // window transitions in the datapath to avoid packet bursts").
 }
 
 void CcpFlow::set_rate(double bps) {
-  hot_->rate_bps = std::max(0.0, bps);
-  telemetry::trace(telemetry::TraceKind::SetRate, id_, hot_->rate_bps);
+  hot_.rate_bps = std::max(0.0, bps);
+  telemetry::trace(telemetry::TraceKind::SetRate, id_, hot_.rate_bps);
 }
 
 void CcpFlow::install(const ipc::InstallMsg& msg, TimePoint now) {
@@ -542,11 +536,11 @@ void CcpFlow::install_compiled(std::shared_ptr<const lang::CompiledProgram> prog
   program_ = std::move(prog);
   fold_.install(program_.get(), std::move(var_values));
   control_pc_ = 0;
-  hot_->waiting = false;
-  hot_->acks_since_report = 0;
-  hot_->vector_mode = vector_mode;
+  hot_.waiting = false;
+  hot_.acks_since_report = 0;
+  hot_.vector_mode = vector_mode;
   vector_samples_.clear();
-  if (hot_->vector_mode) {
+  if (hot_.vector_mode) {
     // Pre-size for a typical report interval so early ACKs do not grow
     // the buffer incrementally; the hard cap still bounds worst case.
     vector_samples_.reserve(

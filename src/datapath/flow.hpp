@@ -86,12 +86,8 @@ struct FlowConfig {
 /// scratch message per kind across calls — the zero-alloc report path).
 using MessageSink = std::function<void(const ipc::Message&, bool urgent)>;
 
-/// The flow state the per-ACK path actually touches, split out of CcpFlow
-/// so it packs into ~two cache lines regardless of how much cold
-/// configuration/resync state the flow carries. The FlowTable keeps these
-/// blocks in their own slab, so the per-ACK path touches one compact
-/// block per flow instead of dragging whole CcpFlow objects
-/// (rate-estimator rings included) through cache.
+/// The enforcement, measurement and cadence state every ACK touches,
+/// grouped so CcpFlow::reset_for_reuse clears it with one assignment.
 struct FlowHot {
   // Enforcement state (primitives (1) and (2) of §2.1).
   uint64_t cwnd_bytes = 0;
@@ -121,12 +117,7 @@ struct FlowHot {
 
 class CcpFlow final : public CcModule {
  public:
-  /// `hot` points this flow's per-ACK block into the owning FlowTable's
-  /// hot slab (stable for the slot's lifetime). Null — standalone flows,
-  /// tests — makes the flow own a private block instead; behavior is
-  /// identical either way.
-  CcpFlow(ipc::FlowId id, FlowConfig config, MessageSink sink,
-          FlowHot* hot = nullptr);
+  CcpFlow(ipc::FlowId id, FlowConfig config, MessageSink sink);
   ~CcpFlow() override;
 
   /// Re-initializes a parked (closed, slot-recycled) flow as a brand-new
@@ -154,9 +145,9 @@ class CcpFlow final : public CcModule {
   void tick(TimePoint now) override;
 
   /// Current enforcement values the stack must obey.
-  uint64_t cwnd_bytes() const override { return hot_->cwnd_bytes; }
+  uint64_t cwnd_bytes() const override { return hot_.cwnd_bytes; }
   /// 0 means "no pacing" (window-limited only).
-  double pacing_rate_bps() const override { return hot_->rate_bps; }
+  double pacing_rate_bps() const override { return hot_.rate_bps; }
 
   // --- agent-facing API ---
 
@@ -177,54 +168,10 @@ class CcpFlow final : public CcModule {
   /// reporting (§2.4). In vector mode the flow records one sample per
   /// ACK and ships the raw vector at Report() time.
   void set_vector_mode(bool enabled) {
-    hot_->vector_mode = enabled;
+    hot_.vector_mode = enabled;
     refresh_install_latches();
   }
-  bool vector_mode() const { return hot_->vector_mode; }
-
-  // --- burst intake prefetch (CcpDatapath::on_ack_batch) ---
-
-  /// Stage-one prefetch: the flow object's own cache lines. Every address
-  /// here is `this` plus a compile-time offset — no field is read — so a
-  /// completely cold flow costs no stall to prefetch. Covers the lines
-  /// holding the pointers/indices/latches that prefetch_for_ack() must
-  /// *load* (hot_, the estimator recording latches and ring heads, the
-  /// fold state pointer).
-  void prefetch_self() const {
-    const char* base = reinterpret_cast<const char*>(this);
-    __builtin_prefetch(base);        // id_, config_ head
-    __builtin_prefetch(base + 64);   // config_ tail, sink_, hot_ pointer
-    // PktInfo is 15 doubles — it straddles two lines, and the per-ACK
-    // fill writes most of it.
-    const char* pkt = reinterpret_cast<const char*>(&last_pkt_);
-    __builtin_prefetch(pkt, 1);
-    __builtin_prefetch(pkt + sizeof(last_pkt_) - 1, 1);
-    __builtin_prefetch(&snd_rate_);
-    __builtin_prefetch(&rcv_rate_);
-    __builtin_prefetch(&fold_);
-    // Control/report tail: run_control's per-ACK gate reads control_pc_,
-    // the watchdog flags, and the report watermark — the cycle profiler
-    // shows these lines are where a cold flow's report_emit stage pays.
-    const char* ctl = reinterpret_cast<const char*>(&control_pc_);
-    __builtin_prefetch(ctl, 1);
-    __builtin_prefetch(ctl + 64, 1);
-  }
-  /// Stage-two prefetch: the lines *behind* the flow's pointers — hot
-  /// block, the write positions of the estimator rings that record, fold
-  /// state. These require reading fields of the flow, so the burst intake
-  /// calls this only after prefetch_self()'s lines have had a few ACKs'
-  /// worth of work to arrive; a cold (Zipf-tail) flow's dependent misses
-  /// then overlap earlier ACKs instead of serializing in front of its
-  /// own. A paused estimator's ring is never written, so fetching its
-  /// line would only evict a useful one. GCC finds this body free of
-  /// side effects and deletes calls to it (docs/PERF.md "Burst intake").
-  void prefetch_for_ack() {
-    __builtin_prefetch(hot_, 1);
-    if (snd_rate_.recording()) __builtin_prefetch(snd_rate_.write_pos(), 1);
-    if (rcv_rate_.recording()) __builtin_prefetch(rcv_rate_.write_pos(), 1);
-    __builtin_prefetch(fold_.state().data(), 1);
-    __builtin_prefetch(fold_.vars_data());
-  }
+  bool vector_mode() const { return hot_.vector_mode; }
 
   // --- introspection (tests, tracing) ---
 
@@ -244,7 +191,7 @@ class CcpFlow final : public CcModule {
   /// (JitMode On or Verify at install time and codegen succeeded).
   bool jit_active() const { return fold_.jit_active(); }
   uint64_t reports_sent() const { return report_seq_; }
-  uint64_t acks_folded_total() const { return hot_->acks_folded_total; }
+  uint64_t acks_folded_total() const { return hot_.acks_folded_total; }
 
   /// Returns the ACKs measured since the last call and marks them
   /// flushed. The owning datapath drains this into the global
@@ -253,8 +200,8 @@ class CcpFlow final : public CcModule {
   /// per-ACK count a plain per-flow field removes the atomic
   /// read-modify-write from the per-ACK path.
   uint64_t take_unreported_acks() {
-    const uint64_t d = hot_->acks_seen - acks_flushed_;
-    acks_flushed_ = hot_->acks_seen;
+    const uint64_t d = hot_.acks_seen - acks_flushed_;
+    acks_flushed_ = hot_.acks_seen;
     return d;
   }
 
@@ -279,7 +226,7 @@ class CcpFlow final : public CcModule {
   /// estimate delays fallback by at most one old threshold, and crossing
   /// a deadline while fresh merely re-arms.
   void check_watchdog(TimePoint now) {
-    if (now < hot_->watchdog_deadline) return;
+    if (now < hot_.watchdog_deadline) return;
     check_watchdog_slow(now);
   }
   void check_watchdog_slow(TimePoint now);
@@ -287,7 +234,7 @@ class CcpFlow final : public CcModule {
   /// (install, fallback entry/exit). Epoch forces the next check onto
   /// the slow path, which computes the real deadline; max() disarms.
   void rearm_watchdog() {
-    hot_->watchdog_deadline =
+    hot_.watchdog_deadline =
         (watchdog_enabled_ && agent_has_programmed_ && !in_fallback_)
             ? TimePoint::epoch()
             : TimePoint::max();
@@ -302,7 +249,7 @@ class CcpFlow final : public CcModule {
     rcv_rate_.set_recording(program_reads(lang::PktField::RcvRateBps));
   }
   bool program_reads(lang::PktField f) const {
-    return hot_->vector_mode || program_ == nullptr ||
+    return hot_.vector_mode || program_ == nullptr ||
            program_->reads_pkt_field(f);
   }
   void enter_fallback(TimePoint now);
@@ -323,12 +270,7 @@ class CcpFlow final : public CcModule {
 
   // The per-ACK working set, adjacent by construction: the hot block and
   // the packet view the fold reads.
-  // Slab-resident (owned_hot_ null) or privately owned: either way hot_
-  // is non-null for the flow's whole life and the per-ACK path is one
-  // pointer indirection away from the ~2-line block. Declared before
-  // hot_ so the member initializer can fall back to the owned block.
-  std::unique_ptr<FlowHot> owned_hot_;
-  FlowHot* hot_;
+  FlowHot hot_;
   lang::PktInfo last_pkt_;  // most recent event, for control-arg evaluation
 
   // Measurement state (primitive (3)), recorded only while observed (see

@@ -34,11 +34,10 @@ uint32_t FlowTable::alloc_slot() {
   }
   const uint32_t slot = static_cast<uint32_t>(meta_.size());
   const size_t chunk = slot >> kChunkShift;
-  if (chunk == hot_chunks_.size()) {
+  if (chunk == chunks_.size()) {
     // New chunk, allocated here — i.e. on the owning shard's worker
     // thread, so first-touch places the slab on that worker's NUMA node.
-    hot_chunks_.push_back(std::make_unique<FlowHot[]>(kChunkSlots));
-    cold_chunks_.push_back(std::make_unique<ColdSlot[]>(kChunkSlots));
+    chunks_.push_back(std::make_unique<FlowSlot[]>(kChunkSlots));
   }
   meta_.push_back(SlotMeta{});
   slot_flow_.push_back(nullptr);
@@ -66,11 +65,10 @@ CcpFlow& FlowTable::create(ipc::FlowId id, const FlowConfig& cfg,
 
   const size_t chunk = slot >> kChunkShift;
   const size_t off = slot & kChunkMask;
-  FlowHot* hot = &hot_chunks_[chunk][off];
   CcpFlow* flow;
   if (m.state == SlotState::kEmpty) {
-    flow = ::new (static_cast<void*>(cold_chunks_[chunk][off].bytes))
-        CcpFlow(id, cfg, sink_, hot);
+    flow = ::new (static_cast<void*>(chunks_[chunk][off].bytes))
+        CcpFlow(id, cfg, sink_);
     slot_flow_[slot] = flow;
   } else {
     // Parked slot: the CcpFlow object survives close->create, so every
@@ -145,7 +143,7 @@ void FlowTable::raw_insert(std::vector<Bucket>& table, unsigned shift,
   const size_t mask = table.size() - 1;
   size_t i = static_cast<size_t>(mix(key) >> shift);
   while (table[i].slot != kEmptyMark) i = (i + 1) & mask;
-  table[i] = Bucket{key, slot, 0, flow};
+  table[i] = Bucket{key, slot, flow};
 }
 
 void FlowTable::index_insert(ipc::FlowId id, uint32_t slot) {
@@ -263,8 +261,7 @@ void FlowTable::clear() {
   for (size_t s = 0; s < meta_.size(); ++s) {
     if (meta_[s].state != SlotState::kEmpty) slot_flow_[s]->~CcpFlow();
   }
-  hot_chunks_.clear();
-  cold_chunks_.clear();
+  chunks_.clear();
   slot_flow_.clear();
   meta_.clear();
   free_.clear();

@@ -1,23 +1,17 @@
-// Two-tier slab storage for the datapath's flows.
+// Slab storage for the datapath's flows.
 //
 // A host datapath owns every flow on the machine — front-end fleets hold
 // a million-plus concurrent connections with ~100k connects/disconnects a
 // second — and the per-flow storage has to carry that without disturbing
 // the per-ACK path. FlowTable replaces the FlatMap<FlowId, unique_ptr>
 // design (one heap object per flow, a full-table rehash on every grow)
-// with three pieces:
+// with two pieces:
 //
-//   hot slab    dense chunks of FlowHot blocks (~2 cache lines each), the
-//               only per-flow state the per-ACK path touches. Slot i's
-//               hot block lives at hot_chunks_[i >> shift][i & mask] for
-//               the life of the table — addresses are stable because
-//               chunks never move, so CcpFlow keeps a plain pointer and
-//               the burst intake prefetches one compact block per flow.
-//
-//   cold slab   chunks of CcpFlow storage (config, estimator rings, fold
-//               machine, resync scratch). Constructed in place on first
-//               use of a slot and *parked* — not destroyed — on close, so
-//               a steady-state close->create cycle recycles the object
+//   slab        4096-slot chunks of CcpFlow storage. Chunks never move,
+//               so a flow's address is stable for the life of the table.
+//               A CcpFlow is constructed in place on first use of a slot
+//               and *parked* — not destroyed — on close, so a steady-state
+//               close->create cycle recycles the object
 //               (CcpFlow::reset_for_reuse) and allocates nothing: every
 //               internal buffer keeps its capacity.
 //
@@ -39,7 +33,7 @@
 //
 // Not thread-safe: one FlowTable per shard/datapath, touched only by its
 // owner thread. Chunk memory is allocated by create() on that thread, so
-// first-touch policy places a shard's slabs on its worker's NUMA node.
+// first-touch policy places a shard's slab on its worker's NUMA node.
 #pragma once
 
 #include <cstdint>
@@ -132,58 +126,6 @@ class FlowTable {
     return nullptr;
   }
 
-  /// find() plus prefetch dedup for the batch intake pipeline: sets
-  /// `fresh` to true iff this is the first find_mark() for the flow with
-  /// this `stamp` value (and records the stamp in its bucket — one store
-  /// to a line the probe just loaded). A Zipf-hot flow resolved a dozen
-  /// times per burst is prefetched once; the cold flows keep the
-  /// fill-buffer slots. Stamp 0 is reserved (fresh buckets carry it).
-  CcpFlow* find_mark(ipc::FlowId id, uint32_t stamp, bool& fresh) {
-    const uint64_t h = mix(id);
-    fresh = false;
-    if (!cur_.empty()) {
-      const size_t mask = cur_.size() - 1;
-      size_t i = static_cast<size_t>(h >> cur_shift_);
-      while (true) {
-        Bucket& b = cur_[i];
-        if (b.slot == kEmptyMark) break;
-        if (b.key == id) {
-          fresh = b.stamp != stamp;
-          b.stamp = stamp;
-          return b.flow;
-        }
-        i = (i + 1) & mask;
-      }
-    }
-    if (!old_.empty()) [[unlikely]] {
-      const size_t mask = old_.size() - 1;
-      size_t i = static_cast<size_t>(h >> old_shift_);
-      while (true) {
-        Bucket& b = old_[i];
-        if (b.slot == kEmptyMark) break;
-        if (b.slot != kTombstoneMark && b.key == id) {
-          fresh = b.stamp != stamp;
-          b.stamp = stamp;
-          return b.flow;
-        }
-        i = (i + 1) & mask;
-      }
-    }
-    return nullptr;
-  }
-
-  /// Pulls the index bucket line(s) for `id` toward cache ahead of the
-  /// find() a few ACKs later — CcpDatapath::on_ack_batch's intake sweeps
-  /// use this so a million-flow table probes mostly-warm lines.
-  void prefetch(ipc::FlowId id) const {
-    if (cur_.empty()) return;
-    const uint64_t h = mix(id);
-    __builtin_prefetch(&cur_[h >> cur_shift_]);
-    if (!old_.empty()) [[unlikely]] {
-      __builtin_prefetch(&old_[h >> old_shift_]);
-    }
-  }
-
   /// Generation-tagged handle for flow `id` (invalid if unknown).
   FlowHandle handle_of(ipc::FlowId id) const;
   /// Resolves a handle; nullptr if the slot was recycled (or freed)
@@ -268,12 +210,6 @@ class FlowTable {
   struct Bucket {
     ipc::FlowId key = 0;
     uint32_t slot = kEmptyMark;
-    // Prefetch-dedup stamp for find_mark(): matches the caller's stamp
-    // when this flow was already resolved in the current burst, so the
-    // intake pipeline skips re-prefetching a hot flow's lines. Lives in
-    // what would otherwise be padding; stale values only cause one
-    // harmless extra prefetch.
-    uint32_t stamp = 0;
     // The slot's flow, denormalized into the bucket so the per-ACK
     // find() is ONE dependent load (the bucket line), not a probe plus a
     // chase through slot_flow_. Worth 2x bucket size: at a million flows
@@ -281,10 +217,15 @@ class FlowTable {
     // touched was the expensive part. Stale in tombstones (never read).
     CcpFlow* flow = nullptr;
   };
+  // Key and slot fill the 8 B before the pointer, so a bucket is 16 B
+  // and four share a cache line. One more 4 B field would pad it to
+  // 24 B: at a million flows (2^21 buckets) the index would grow from
+  // 33.6 MB to 50.3 MB, and a draining grow holds both arrays.
+  static_assert(sizeof(Bucket) == 16);
 
   // Slab chunking: fixed-size chunks keep every slot's address stable
-  // for the life of the table (flows hold pointers into the hot slab and
-  // the table hands out CcpFlow&), while growth stays O(chunk).
+  // for the life of the table (the table hands out CcpFlow& and the
+  // index holds CcpFlow*), while growth stays O(chunk).
   static constexpr size_t kChunkShift = 12;  // 4096 slots per chunk
   static constexpr size_t kChunkSlots = size_t{1} << kChunkShift;
   static constexpr size_t kChunkMask = kChunkSlots - 1;
@@ -299,9 +240,9 @@ class FlowTable {
   // rehash_step (an idle shard taking a connect burst).
   static constexpr size_t kInsertMigrateBuckets = 4;
 
-  // Raw storage for one cold slot; CcpFlow is placement-constructed on
+  // Raw storage for one slot; CcpFlow is placement-constructed on
   // first use and recycled (never destroyed) until clear().
-  struct ColdSlot {
+  struct FlowSlot {
     alignas(CcpFlow) unsigned char bytes[sizeof(CcpFlow)];
   };
 
@@ -327,8 +268,7 @@ class FlowTable {
 
   MessageSink sink_;
 
-  std::vector<std::unique_ptr<FlowHot[]>> hot_chunks_;
-  std::vector<std::unique_ptr<ColdSlot[]>> cold_chunks_;
+  std::vector<std::unique_ptr<FlowSlot[]>> chunks_;
   std::vector<CcpFlow*> slot_flow_;  // slot -> constructed flow (dense)
   std::vector<SlotMeta> meta_;
   std::vector<uint32_t> free_;  // parked slots, LIFO for cache-warm reuse

@@ -80,9 +80,6 @@ class FoldMachine {
   /// True when every fold also cross-checks the interpreter (Verify).
   bool jit_verifying() const { return jit_fn_ != nullptr && jit_verify_; }
 
-  /// Install-time variable bindings (the burst intake prefetches them).
-  const double* vars_data() const { return vars_.data(); }
-
  private:
   /// Per-ACK fold dispatch: direct native call in the common JIT-on
   /// case; out-of-line jit_exec handles sampling + Verify; otherwise the

@@ -87,9 +87,8 @@ class RateEstimator {
     return cache_rate_;
   }
 
-  /// Address the next on_bytes() will write. The batch intake's lookahead
-  /// pipeline prefetches it so a cold flow's ring line is already in
-  /// flight when the record lands.
+  /// Address the next on_bytes() will write. Tests compare it across a
+  /// reinit() to check that a same-capacity reinit keeps the ring.
   const void* write_pos() const { return &events_[tail_ & (capacity_ - 1)]; }
 
   /// Total bytes recorded since construction (monotone counter; bytes
@@ -133,9 +132,8 @@ class RateEstimator {
   }
   void expire(TimePoint now) const;
 
-  // The latch and the ring's address/indices sit in the object's first
-  // bytes: the flow's prefetch pipeline reads them from the line it has
-  // already fetched for the estimator object itself.
+  // on_bytes() reads the latch, the ring pointer and the indices; they
+  // sit together at the front of the object.
   Duration window_;
   size_t capacity_ = kDefaultCapacity;  // power of two, set at construction
   bool recording_ = true;

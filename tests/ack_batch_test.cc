@@ -163,7 +163,7 @@ void run_mixed_workload(uint64_t seed, int rounds) {
   int64_t us = 2000;
   for (int round = 0; round < rounds; ++round) {
     std::vector<FlowAck> burst;
-    const size_t n = 1 + rng() % 40;  // spans <1 and >1 intake chunk
+    const size_t n = 1 + rng() % 40;  // 1..40 ACKs per burst
     for (size_t i = 0; i < n; ++i) {
       us += 1 + static_cast<int64_t>(rng() % 200);
       FlowAck fa;
@@ -217,8 +217,8 @@ TEST(AckBatch, SameFlowTwicePerBurstMatchesScalar) {
   twin.install(install_msg(1, kPureProgram, {"gain"}, {1.0}), t0);
   twin.install(install_msg(2, kPureProgram, {"gain"}, {1.0}), t0);
   // Flow 1 appears three times in one burst: each repeat must fold on
-  // top of the previous repeat's registers, and the intake's per-chunk
-  // prefetch dedup must not skip the repeats themselves.
+  // top of the previous repeat's registers, exactly as three separate
+  // per-ACK calls would.
   std::vector<FlowAck> burst;
   for (int i = 0; i < 3; ++i) {
     FlowAck fa;

@@ -1,4 +1,4 @@
-// Tests for the two-tier slab flow store (datapath/flow_table.hpp):
+// Tests for the slab flow store (datapath/flow_table.hpp):
 // generation-tagged handles, parked-slot recycling, hint interning, the
 // incremental index rehash (bounded steps, wire-invisible), and a
 // million-flow churn soak sized down under sanitizers.
@@ -74,13 +74,36 @@ TEST(FlowTable, RecycleReusesTheFlowObject) {
   FlowTable table;
   table.set_sink(null_sink());
   FlowConfig cfg;
+  cfg.agent_timeout = Duration::from_millis(50);
+  FlowConfig next_cfg;
+  next_cfg.init_cwnd_bytes = 4 * next_cfg.init_cwnd_bytes;
 
+  // Leave per-ACK state behind: folded ACKs, and the watchdog fallback
+  // entered after the agent programmed the flow and went silent.
   CcpFlow* first = &table.create(1, cfg, "reno");
+  ipc::InstallMsg install;
+  install.flow_id = 1;
+  install.program_text = "control { Cwnd(50000); WaitRtts(1.0); Report(); }";
+  first->install(install, TimePoint::epoch());
+  for (int ms = 1; ms <= 100; ++ms) {
+    AckEvent ev;
+    ev.now = TimePoint::epoch() + Duration::from_millis(ms);
+    ev.bytes_acked = 1000;
+    ev.packets_acked = 1;
+    ev.rtt_sample = Duration::from_millis(10);
+    first->on_ack(ev);
+  }
+  ASSERT_GT(first->acks_folded_total(), 0u);
+  ASSERT_TRUE(first->in_fallback()) << "test premise: fallback entered";
   ASSERT_TRUE(table.erase(1));
-  CcpFlow* second = &table.create(2, cfg, "cubic");
+
+  CcpFlow* second = &table.create(2, next_cfg, "cubic");
   EXPECT_EQ(first, second)
       << "a parked slot must recycle its CcpFlow, not construct a new one";
   EXPECT_EQ(second->id(), 2u);
+  EXPECT_EQ(second->cwnd_bytes(), next_cfg.init_cwnd_bytes);
+  EXPECT_EQ(second->acks_folded_total(), 0u);
+  EXPECT_FALSE(second->in_fallback());
   EXPECT_EQ(table.stats().recycles, 1u);
   EXPECT_EQ(table.stats().creates, 2u);
   EXPECT_EQ(table.size(), 1u);
@@ -99,24 +122,6 @@ TEST(FlowTable, HintsAreInternedOnePooledStringPerName) {
   EXPECT_EQ(table.hint_of(3), "cubic");
   ASSERT_TRUE(table.erase(2));
   EXPECT_EQ(table.hint_of(2), "");
-}
-
-TEST(FlowTable, FindMarkReportsFreshOncePerStamp) {
-  FlowTable table;
-  table.set_sink(null_sink());
-  FlowConfig cfg;
-  CcpFlow& f = table.create(42, cfg, "reno");
-
-  bool fresh = false;
-  EXPECT_EQ(table.find_mark(42, 1, fresh), &f);
-  EXPECT_TRUE(fresh) << "first resolve under a stamp is fresh";
-  EXPECT_EQ(table.find_mark(42, 1, fresh), &f);
-  EXPECT_FALSE(fresh) << "repeat resolve under the same stamp is deduped";
-  EXPECT_EQ(table.find_mark(42, 2, fresh), &f);
-  EXPECT_TRUE(fresh) << "a new stamp (new burst) starts over";
-
-  EXPECT_EQ(table.find_mark(999, 2, fresh), nullptr);
-  EXPECT_FALSE(fresh);
 }
 
 TEST(FlowTable, LookupsStayCorrectWhileARehashDrains) {

@@ -411,8 +411,8 @@ TEST(HotPathAlloc, JitSteadyStateIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "JIT-dispatched per-ACK path allocated in steady state";
 }
 
-/// Burst intake (on_ack_batch): prefetch sweeps over a fixed on-stack
-/// chunk, then the scalar per-ACK calls. Steady state — 32-ACK bursts over
+/// Burst intake (on_ack_batch): the scalar per-ACK calls in a plain
+/// loop. Steady state — 32-ACK bursts over
 /// flows running two different programs, telemetry on — must be exactly as
 /// allocation-free as the scalar per-ACK path under the given fold engine.
 void expect_burst_intake_allocation_free(lang::jit::JitMode mode) {

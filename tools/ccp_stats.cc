@@ -140,7 +140,7 @@ int dump_shards(StatsClient& client) {
 }
 
 /// Flow-table view: slab/index occupancy and churn tallies for the
-/// two-tier flow store (docs/PERF.md "Million-flow scale"). Load factor
+/// slab flow store (docs/PERF.md "Million-flow scale"). Load factor
 /// is exported as a gauge in basis points; rehash_steps counts bounded
 /// incremental-migration steps, so a rising value under churn is normal
 /// — what matters is that it rises in small increments, not bursts.
