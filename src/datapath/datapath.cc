@@ -85,7 +85,10 @@ void CcpDatapath::close_flow(ipc::FlowId id, TimePoint now) {
     telemetry::trace(telemetry::TraceKind::FlowClose, id, 0.0);
     auto& close = std::get<ipc::FlowCloseMsg>(close_msg_);
     close.flow_id = id;
-    enqueue(close_msg_, /*urgent=*/true, now);
+    // Not urgent: the agent needs no prompt answer to a close, so it
+    // rides the next flush (a churn close is followed by a Create that
+    // flushes both in one frame) instead of costing a frame and a wake-up.
+    enqueue(close_msg_, /*urgent=*/false, now);
   }
 }
 

@@ -78,6 +78,11 @@ class CcpDatapath {
   /// real stack's 4-tuple hash determines the processing core).
   CcpFlow& create_flow_with_id(ipc::FlowId id, const FlowConfig& cfg,
                                const std::string& alg_hint, TimePoint now);
+  /// Removes a flow and tells the agent. The FlowClose is batched, not
+  /// urgent: it rides the next flush (the next Create or urgent message,
+  /// the batch cap, a tick() past flush_interval, or flush()), in the
+  /// order it was enqueued. With flush_interval == 0 it goes out at once.
+  /// Closing an unknown id does nothing.
   void close_flow(ipc::FlowId id, TimePoint now);
   /// Per-packet demux; inline so the per-ACK lookup is one probe
   /// sequence with no call overhead.

@@ -1,6 +1,7 @@
 // Messages exchanged between the datapath and the CCP agent (Figure 1).
 //
-// Datapath -> agent:  Create, Measurement (batched), Urgent, FlowClose
+// Datapath -> agent:  Create and Urgent (flush at once), Measurement and
+//                     FlowClose (batched: ride the next flush)
 // Agent -> datapath:  Install (a program), UpdateFields (rebind $vars),
 //                     DirectControl (one-shot cwnd/rate override)
 //

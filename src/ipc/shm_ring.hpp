@@ -12,6 +12,13 @@
 //
 // This is the stand-in for the paper's Netlink channel: a syscall-free
 // data plane with an optional eventfd doorbell for blocking waits.
+//
+// The peer is not trusted. The capacity lives in each side's ShmRing
+// (set at create_in), not in shared memory, and every consumer path
+// checks `tail - head` against it and each record's `len` against
+// `tail - head`. A violation latches corrupt(), is counted as
+// ccp_ipc_ring_corrupt_total, and reads as an empty ring from then on:
+// the transport on top treats it as a disconnect.
 #pragma once
 
 #include <atomic>
@@ -26,7 +33,6 @@ namespace ccp::ipc {
 struct RingHeader {
   std::atomic<uint64_t> head{0};  // next byte the consumer will read
   std::atomic<uint64_t> tail{0};  // next byte the producer will write
-  uint64_t capacity = 0;          // power of two
 };
 
 /// Non-owning view over a ring in shared memory. The owner (ShmChannel)
@@ -34,13 +40,13 @@ struct RingHeader {
 class ShmRing {
  public:
   ShmRing() = default;
-  ShmRing(RingHeader* header, uint8_t* data) : hdr_(header), data_(data) {}
 
   /// Producer side: appends one record. Returns false if there is not
   /// enough free space (caller may retry or drop).
   bool push(std::span<const uint8_t> payload);
 
-  /// Consumer side: pops one record if available.
+  /// Consumer side: pops one record if available. nullopt on an empty
+  /// or corrupt ring.
   std::optional<std::vector<uint8_t>> pop();
 
   /// Zero-copy consumer path: exposes the next record's payload without
@@ -56,16 +62,18 @@ class ShmRing {
   /// Batched consumer: invokes fn(payload) for every record present when
   /// the drain began, publishing ONE head update at the end — a single
   /// head/tail synchronization round-trip (two loads + one store) no
-  /// matter how deep the backlog. Returns the number of records drained.
+  /// matter how deep the backlog. Returns the number of records drained;
+  /// a corrupt record ends the drain after the good ones before it.
   template <typename Fn>
   size_t drain(std::vector<uint8_t>& scratch, Fn&& fn) {
     uint64_t head = hdr_->head.load(std::memory_order_relaxed);
     const uint64_t tail = hdr_->tail.load(std::memory_order_acquire);
     size_t n = 0;
     while (head != tail) {
-      const std::span<const uint8_t> rec = record_at(head, scratch);
-      head += 4 + rec.size();
-      fn(rec);
+      const std::optional<std::span<const uint8_t>> rec = record_at(head, tail, scratch);
+      if (!rec.has_value()) break;
+      head += 4 + rec->size();
+      fn(*rec);
       ++n;
     }
     if (n > 0) hdr_->head.store(head, std::memory_order_release);
@@ -73,8 +81,8 @@ class ShmRing {
   }
 
   bool empty() const {
-    return hdr_->head.load(std::memory_order_acquire) ==
-           hdr_->tail.load(std::memory_order_acquire);
+    return corrupt_ || hdr_->head.load(std::memory_order_acquire) ==
+                           hdr_->tail.load(std::memory_order_acquire);
   }
 
   uint64_t bytes_used() const {
@@ -82,7 +90,11 @@ class ShmRing {
            hdr_->head.load(std::memory_order_acquire);
   }
 
-  uint64_t capacity() const { return hdr_->capacity; }
+  uint64_t capacity() const { return cap_; }
+
+  /// True once a consumer path has seen a header or record the producer
+  /// could not have written. Sticky: the ring stays empty afterwards.
+  bool corrupt() const { return corrupt_; }
 
   /// Total size of the shared mapping needed for a ring of `capacity`.
   static size_t mapping_size(size_t capacity) {
@@ -90,22 +102,32 @@ class ShmRing {
   }
 
   /// Initializes a header+data region in place (producer side, once).
+  /// `capacity` must be a power of two.
   static ShmRing create_in(void* mem, size_t capacity);
 
-  /// Attaches to an already-initialized region.
-  static ShmRing attach(void* mem);
-
  private:
+  ShmRing(RingHeader* header, uint8_t* data, uint64_t capacity)
+      : hdr_(header), data_(data), cap_(capacity) {}
+
   void copy_in(uint64_t at, std::span<const uint8_t> src);
   void copy_out(uint64_t at, std::span<uint8_t> dst) const;
 
+  /// Length of the record at byte offset `head`. nullopt on a corrupt
+  /// ring, and latches corrupt() (counted once) when `tail - head`
+  /// exceeds capacity or the record would run past `tail`.
+  std::optional<uint32_t> record_len(uint64_t head, uint64_t tail);
+
   /// Payload view of the record at byte offset `head` — zero-copy when
-  /// contiguous, staged through `scratch` when it wraps.
-  std::span<const uint8_t> record_at(uint64_t head, std::vector<uint8_t>& scratch) const;
+  /// contiguous, staged through `scratch` when it wraps. nullopt when
+  /// record_len() rejects it.
+  std::optional<std::span<const uint8_t>> record_at(uint64_t head, uint64_t tail,
+                                                    std::vector<uint8_t>& scratch);
 
   RingHeader* hdr_ = nullptr;
   uint8_t* data_ = nullptr;
+  uint64_t cap_ = 0;           // power of two; private, so the peer cannot change it
   uint64_t peeked_bytes_ = 0;  // total record bytes of the last peek()
+  bool corrupt_ = false;
 };
 
 }  // namespace ccp::ipc

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <new>
 #include <poll.h>
 #include <stdexcept>
 
@@ -22,19 +23,42 @@ size_t round_up_pow2(size_t v) {
   return p;
 }
 
+/// One cache line per flag: a consumer's park/unpark stores never share
+/// a line with the other direction's flag or with a ring's head/tail.
+struct alignas(64) ParkFlag {
+  std::atomic<bool> parked{false};
+};
+
+/// Control block at the start of the shared mapping.
+struct ChannelControl {
+  ParkFlag park_ab;  // ring_ab's consumer is asleep (or about to be)
+  ParkFlag park_ba;
+  std::atomic<bool> closed{false};
+};
+
 /// Shared channel state: two rings (a->b and b->a) plus one eventfd
 /// doorbell per direction for blocking waits. Mapped MAP_SHARED so both
 /// sides of a fork see the same memory. Reference-counted by the two
 /// transport endpoints within one process; across processes each side
 /// holds its own mapping of the same pages.
+///
+/// Wake-ups follow io_uring's IORING_SQ_NEED_WAKEUP protocol. A Blocking
+/// consumer with nothing to read sets its direction's `parked`, takes a
+/// seq_cst fence and re-checks the ring; only if it is still empty does
+/// it poll() the eventfd. A producer pushes, takes a seq_cst fence, and
+/// writes the eventfd only if `parked` is set. The two fences order
+/// "store parked; load tail" against "store tail; load parked", so at
+/// least one side sees the other: either the re-check finds the record
+/// or the producer rings. A consumer that is awake costs its producer
+/// no syscall.
 struct ShmChannel {
   void* mem = nullptr;
   size_t mem_size = 0;
+  ChannelControl* ctl = nullptr;  // lives in the shared mapping
   ShmRing ring_ab;
   ShmRing ring_ba;
-  int event_ab = -1;  // signaled when ring_ab gains data
+  int event_ab = -1;  // written when ring_ab gains data and its consumer is parked
   int event_ba = -1;
-  std::atomic<bool>* closed = nullptr;  // lives in the shared mapping
 
   ~ShmChannel() {
     if (event_ab >= 0) ::close(event_ab);
@@ -49,12 +73,13 @@ class ShmTransport final : public Transport {
       : ch_(std::move(ch)), is_a_(is_a), mode_(mode) {}
 
   ~ShmTransport() override {
-    ch_->closed->store(true, std::memory_order_release);
+    ch_->ctl->closed.store(true, std::memory_order_release);
+    // Unconditional: a consumer parked with no timeout must see the close.
     ring_doorbell(tx_event());
   }
 
   bool send_frame(std::span<const uint8_t> frame) override {
-    if (ch_->closed->load(std::memory_order_acquire)) return false;
+    if (peer_closed()) return false;
     if (!tx().push(frame)) {  // ring full: caller drops/retries
       if (telemetry::enabled()) telemetry::metrics().ipc_ring_full.inc();
       CCP_WARN("shm ring full: dropping %zu-byte frame (backpressure)",
@@ -65,7 +90,14 @@ class ShmTransport final : public Transport {
       telemetry::metrics().ipc_ring_used_bytes.set(
           static_cast<int64_t>(tx().bytes_used()));
     }
-    ring_doorbell(tx_event());
+    if (mode_ == ShmWaitMode::Blocking) {
+      // Pairs with the fence in recv_frame's park (see ShmChannel).
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      if (tx_parked().load(std::memory_order_relaxed)) {
+        ring_doorbell(tx_event());
+        if (telemetry::enabled()) telemetry::metrics().ipc_doorbells.inc();
+      }
+    }
     return true;
   }
 
@@ -75,7 +107,7 @@ class ShmTransport final : public Transport {
         timeout.has_value() ? monotonic_now() + *timeout : TimePoint::max();
     for (;;) {
       if (auto frame = rx().pop()) return frame;
-      if (ch_->closed->load(std::memory_order_acquire)) return std::nullopt;
+      if (peer_closed() || rx().corrupt()) return std::nullopt;
       if (mode_ == ShmWaitMode::BusyPoll) {
         if (monotonic_now() >= deadline) return std::nullopt;
         // Spin: models a dedicated core polling the ring (§2.3's
@@ -87,9 +119,17 @@ class ShmTransport final : public Transport {
 #endif
         continue;
       }
-      // Blocking: wait on the doorbell with the remaining timeout.
+      // Blocking: park, then wait on the doorbell with the remaining
+      // timeout.
       const Duration remain = deadline - monotonic_now();
       if (timeout.has_value() && remain <= Duration::zero()) return std::nullopt;
+      std::atomic<bool>& parked = rx_parked();
+      parked.store(true, std::memory_order_relaxed);
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      if (!rx().empty() || peer_closed()) {
+        parked.store(false, std::memory_order_relaxed);
+        continue;
+      }
       struct pollfd pfd{rx_event(), POLLIN, 0};
       const int ms = timeout.has_value()
                          ? static_cast<int>(std::max<int64_t>(1, remain.millis()))
@@ -98,34 +138,32 @@ class ShmTransport final : public Transport {
       do {
         r = ::poll(&pfd, 1, ms);
       } while (r < 0 && errno == EINTR);
-      if (r == 0) {
+      parked.store(false, std::memory_order_relaxed);
+      if (r > 0) {
+        drain_doorbell(rx_event());
+      } else if (r == 0) {
         // Timed out waiting for the doorbell; one more opportunistic pop.
         if (auto frame = rx().pop()) return frame;
-        if (timeout.has_value()) return std::nullopt;
+        return std::nullopt;
       }
-      if (r > 0) drain_doorbell(rx_event());
     }
   }
 
-  std::optional<std::vector<uint8_t>> try_recv_frame() override {
-    auto frame = rx().pop();
-    if (frame.has_value() && mode_ == ShmWaitMode::Blocking) {
-      drain_doorbell(rx_event());
-    }
-    return frame;
-  }
+  std::optional<std::vector<uint8_t>> try_recv_frame() override { return rx().pop(); }
 
   size_t drain_frames(const FrameSink& sink) override {
     const size_t n = rx().drain(drain_scratch_, sink);
-    if (n > 0) {
-      if (mode_ == ShmWaitMode::Blocking) drain_doorbell(rx_event());
-      if (telemetry::enabled()) telemetry::metrics().ipc_drain_batch.record(n);
-    }
+    if (n > 0 && telemetry::enabled()) telemetry::metrics().ipc_drain_batch.record(n);
     return n;
   }
 
   bool closed() const override {
-    return ch_->closed->load(std::memory_order_acquire) && rx().empty();
+    return (peer_closed() && rx().empty()) || rx().corrupt();
+  }
+
+  TransportStatus status() const override {
+    if (rx().corrupt()) return TransportStatus::Error;
+    return closed() ? TransportStatus::PeerDisconnected : TransportStatus::Ok;
   }
 
  private:
@@ -134,6 +172,13 @@ class ShmTransport final : public Transport {
   const ShmRing& rx() const { return is_a_ ? ch_->ring_ba : ch_->ring_ab; }
   int tx_event() const { return is_a_ ? ch_->event_ab : ch_->event_ba; }
   int rx_event() const { return is_a_ ? ch_->event_ba : ch_->event_ab; }
+  std::atomic<bool>& tx_parked() {
+    return (is_a_ ? ch_->ctl->park_ab : ch_->ctl->park_ba).parked;
+  }
+  std::atomic<bool>& rx_parked() {
+    return (is_a_ ? ch_->ctl->park_ba : ch_->ctl->park_ab).parked;
+  }
+  bool peer_closed() const { return ch_->ctl->closed.load(std::memory_order_acquire); }
 
   static void ring_doorbell(int fd) {
     const uint64_t one = 1;
@@ -155,8 +200,9 @@ class ShmTransport final : public Transport {
 TransportPair make_shm_ring_pair(size_t capacity_bytes, ShmWaitMode mode) {
   const size_t cap = round_up_pow2(std::max<size_t>(capacity_bytes, 4096));
   const size_t ring_bytes = ShmRing::mapping_size(cap);
-  // Layout: [ring a->b][ring b->a][closed flag]
-  const size_t total = 2 * ring_bytes + sizeof(std::atomic<bool>);
+  // Layout: [control block][ring a->b][ring b->a]. The mapping is page
+  // aligned, so each ParkFlag starts its own cache line.
+  const size_t total = sizeof(ChannelControl) + 2 * ring_bytes;
 
   void* mem = ::mmap(nullptr, total, PROT_READ | PROT_WRITE,
                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
@@ -167,9 +213,10 @@ TransportPair make_shm_ring_pair(size_t capacity_bytes, ShmWaitMode mode) {
   auto ch = std::make_shared<ShmChannel>();
   ch->mem = mem;
   ch->mem_size = total;
-  ch->ring_ab = ShmRing::create_in(mem, cap);
-  ch->ring_ba = ShmRing::create_in(static_cast<uint8_t*>(mem) + ring_bytes, cap);
-  ch->closed = new (static_cast<uint8_t*>(mem) + 2 * ring_bytes) std::atomic<bool>(false);
+  auto* base = static_cast<uint8_t*>(mem);
+  ch->ctl = new (base) ChannelControl();
+  ch->ring_ab = ShmRing::create_in(base + sizeof(ChannelControl), cap);
+  ch->ring_ba = ShmRing::create_in(base + sizeof(ChannelControl) + ring_bytes, cap);
   ch->event_ab = ::eventfd(0, EFD_NONBLOCK);
   ch->event_ba = ::eventfd(0, EFD_NONBLOCK);
   if (ch->event_ab < 0 || ch->event_ba < 0) {

@@ -29,6 +29,8 @@ Metrics::Metrics() {
 
   r.add("ccp_ipc_ring_full_total", &ipc_ring_full);
   r.add("ccp_ipc_send_failures_total", &ipc_send_failures);
+  r.add("ccp_ipc_doorbells_total", &ipc_doorbells);
+  r.add("ccp_ipc_ring_corrupt_total", &ipc_ring_corrupt);
 
   r.add("ccp_fault_drops_total", &fault_drops);
   r.add("ccp_fault_corruptions_total", &fault_corruptions);

@@ -111,6 +111,8 @@ struct Metrics {
   // -- ipc / transports --
   Counter ipc_ring_full;       // shm ring rejected a frame (backpressure)
   Counter ipc_send_failures;   // socket/inproc send failures
+  Counter ipc_doorbells;       // shm eventfd writes (only for a parked consumer)
+  Counter ipc_ring_corrupt;    // shm rings latched corrupt (peer broke the header)
 
   // -- resilience: fault injection (test/chaos harness activity) --
   Counter fault_drops;         // frames silently dropped by the injector

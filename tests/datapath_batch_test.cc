@@ -64,6 +64,62 @@ TEST(CcpDatapath, CloseFlowNotifiesAndRemoves) {
   dp.close_flow(id, at_ms(2));
 }
 
+TEST(CcpDatapath, CloseRidesTheNextCreateFrame) {
+  FrameLog log;
+  DatapathConfig cfg;
+  cfg.flush_interval = Duration::from_millis(10);
+  CcpDatapath dp(cfg, log.tx());
+  const ipc::FlowId old_id = dp.create_flow(FlowConfig{}, "", at_ms(0)).id();
+  ASSERT_EQ(log.frames.size(), 1u);  // the Create is urgent
+  dp.close_flow(old_id, at_ms(1));
+  EXPECT_EQ(log.frames.size(), 1u) << "a close alone must not send a frame";
+  EXPECT_EQ(dp.num_flows(), 0u);
+  const ipc::FlowId new_id = dp.create_flow(FlowConfig{}, "", at_ms(1)).id();
+  ASSERT_EQ(log.frames.size(), 2u);
+  const auto& frame = log.frames.back();
+  ASSERT_EQ(frame.size(), 2u);
+  ASSERT_TRUE(std::holds_alternative<ipc::FlowCloseMsg>(frame[0]));
+  EXPECT_EQ(std::get<ipc::FlowCloseMsg>(frame[0]).flow_id, old_id);
+  ASSERT_TRUE(std::holds_alternative<ipc::CreateMsg>(frame[1]));
+  EXPECT_EQ(std::get<ipc::CreateMsg>(frame[1]).flow_id, new_id);
+}
+
+TEST(CcpDatapath, TickPastTheIntervalFlushesALoneClose) {
+  FrameLog log;
+  DatapathConfig cfg;
+  cfg.flush_interval = Duration::from_millis(10);
+  CcpDatapath dp(cfg, log.tx());
+  const ipc::FlowId a = dp.create_flow(FlowConfig{}, "", at_ms(0)).id();
+  const size_t frames0 = log.frames.size();
+  dp.tick(at_ms(20));
+  dp.close_flow(a, at_ms(20));
+  dp.tick(at_ms(29));  // 9 ms old: still held
+  EXPECT_EQ(log.frames.size(), frames0);
+  dp.tick(at_ms(30));
+  ASSERT_EQ(log.frames.size(), frames0 + 1);
+  ASSERT_EQ(log.frames.back().size(), 1u);
+  EXPECT_EQ(std::get<ipc::FlowCloseMsg>(log.frames.back()[0]).flow_id, a);
+  // flush() delivers a held close too.
+  const ipc::FlowId b = dp.create_flow(FlowConfig{}, "", at_ms(31)).id();
+  dp.close_flow(b, at_ms(31));
+  EXPECT_EQ(log.frames.size(), frames0 + 2);  // only b's Create went out
+  dp.flush();
+  ASSERT_EQ(log.frames.size(), frames0 + 3);
+  ASSERT_EQ(log.frames.back().size(), 1u);
+  EXPECT_EQ(std::get<ipc::FlowCloseMsg>(log.frames.back()[0]).flow_id, b);
+}
+
+TEST(CcpDatapath, ZeroFlushIntervalSendsCloseAtOnce) {
+  FrameLog log;
+  CcpDatapath dp(DatapathConfig{}, log.tx());  // flush_interval == 0
+  const ipc::FlowId id = dp.create_flow(FlowConfig{}, "", at_ms(0)).id();
+  const size_t frames0 = log.frames.size();
+  dp.close_flow(id, at_ms(1));
+  ASSERT_EQ(log.frames.size(), frames0 + 1);
+  ASSERT_EQ(log.frames.back().size(), 1u);
+  EXPECT_EQ(std::get<ipc::FlowCloseMsg>(log.frames.back()[0]).flow_id, id);
+}
+
 TEST(CcpDatapath, ZeroFlushIntervalSendsImmediately) {
   FrameLog log;
   DatapathConfig cfg;

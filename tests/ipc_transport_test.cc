@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <thread>
 
 #include "ipc/transport.hpp"
+#include "telemetry/telemetry.hpp"
+#include "util/rng.hpp"
 
 namespace ccp::ipc {
 namespace {
@@ -183,6 +187,157 @@ TEST(ShmRing, FullRingRejectsWithoutCorruption) {
   EXPECT_FALSE(pair.b->try_recv_frame().has_value());
   // Space freed: sending works again.
   EXPECT_TRUE(pair.a->send_frame(frame));
+}
+
+// Parked-consumer doorbell (transport_shm.cc): the producer writes the
+// eventfd only when the consumer has announced it is going to sleep.
+// Every wait below is recv_frame(std::nullopt), with no timeout, so a
+// lost wake-up cannot be hidden by a poll timeout the way
+// TransportLoop's 10 ms one would hide it.
+
+uint64_t doorbells() { return telemetry::metrics().ipc_doorbells.value(); }
+
+std::vector<uint8_t> seq_frame(uint64_t seq) {
+  std::vector<uint8_t> f(8 + seq % 24, static_cast<uint8_t>(seq));
+  std::memcpy(f.data(), &seq, 8);
+  return f;
+}
+
+void spin_for_ns(uint64_t ns) {
+  const TimePoint until = monotonic_now() + Duration::from_nanos(static_cast<int64_t>(ns));
+  while (monotonic_now() < until) {
+  }
+}
+
+/// Lockstep stream: the producer sends frame i only after the consumer
+/// has taken frame i-1, so the consumer finds the ring empty and parks
+/// before every frame, and every frame's wake-up is needed on its own
+/// (no later frame can ring for a lost one). The seeded 0–3 µs gap, at
+/// nanosecond resolution, lands the push at every point of the
+/// consumer's park sequence, including the few-ns store-buffer windows
+/// that the fences close.
+void lockstep_stream(std::unique_ptr<Transport>& tx, Transport& rx, uint64_t seed) {
+  constexpr uint64_t kFrames = 100'000;
+  std::atomic<uint64_t> taken{0};
+  std::atomic<uint64_t> bad_seq{0};  // first out-of-order frame + 1
+  std::thread consumer([&] {
+    for (uint64_t i = 0; i < kFrames; ++i) {
+      auto f = rx.recv_frame(std::nullopt);
+      if (!f.has_value()) return;  // the producer gave up and closed
+      if (*f != seq_frame(i) && bad_seq.load() == 0) bad_seq.store(i + 1);
+      taken.store(i + 1, std::memory_order_release);
+    }
+  });
+  const uint64_t rung0 = doorbells();
+  Rng rng(seed);
+  uint64_t stuck_at = kFrames;
+  for (uint64_t i = 0; i < kFrames && stuck_at == kFrames; ++i) {
+    spin_for_ns(rng.next_below(3000));
+    EXPECT_TRUE(tx->send_frame(seq_frame(i)));
+    const TimePoint deadline = monotonic_now() + Duration::from_secs(10);
+    while (taken.load(std::memory_order_acquire) != i + 1) {
+      if (monotonic_now() > deadline) {
+        stuck_at = i;
+        break;
+      }
+    }
+  }
+  const uint64_t rung = doorbells() - rung0;
+  EXPECT_EQ(stuck_at, kFrames) << "lost wake-up: frame " << stuck_at
+                               << " sat in the ring while the consumer slept";
+  // A stuck consumer is released by the close's unconditional doorbell,
+  // so a lost wake-up fails the test instead of hanging it.
+  if (stuck_at != kFrames) tx.reset();
+  consumer.join();
+  EXPECT_EQ(bad_seq.load(), 0u) << "frame " << bad_seq.load() - 1 << " out of order";
+  EXPECT_EQ(taken.load(), kFrames);
+  // The consumer really slept: some frames needed the doorbell.
+  EXPECT_GT(rung, 0u);
+  EXPECT_LE(rung, kFrames);
+}
+
+TEST(ShmWake, NoTimeoutRecvSeesEveryFrameAToB) {
+  auto pair = make_shm_ring_pair(1 << 16, ShmWaitMode::Blocking);
+  lockstep_stream(pair.a, *pair.b, 0xa2b);
+}
+
+TEST(ShmWake, NoTimeoutRecvSeesEveryFrameBToA) {
+  auto pair = make_shm_ring_pair(1 << 16, ShmWaitMode::Blocking);
+  lockstep_stream(pair.b, *pair.a, 0xb2a);
+}
+
+TEST(ShmWake, PeerCloseWakesParkedConsumer) {
+  // Each side in turn parks with no timeout; destroying its peer must
+  // wake it, although no frame was sent.
+  for (const bool a_waits : {true, false}) {
+    auto pair = make_shm_ring_pair(1 << 16, ShmWaitMode::Blocking);
+    Transport& waiter = a_waits ? *pair.a : *pair.b;
+    std::unique_ptr<Transport>& peer = a_waits ? pair.b : pair.a;
+    std::atomic<bool> returned{false};
+    std::optional<std::vector<uint8_t>> got;
+    std::thread t([&] {
+      got = waiter.recv_frame(std::nullopt);
+      returned.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    EXPECT_FALSE(returned.load()) << "recv_frame returned before the close";
+    peer.reset();
+    t.join();
+    EXPECT_FALSE(got.has_value());
+    EXPECT_TRUE(waiter.closed());
+    EXPECT_EQ(waiter.status(), TransportStatus::PeerDisconnected);
+  }
+}
+
+TEST(ShmWake, BusyConsumerTakesFewerDoorbellsThanFrames) {
+  // The producer sends flat out while the consumer does some work per
+  // frame, so the consumer mostly finds data waiting and never parks.
+  constexpr uint64_t kFrames = 20'000;
+  auto pair = make_shm_ring_pair(1 << 20, ShmWaitMode::Blocking);
+  const uint64_t rung0 = doorbells();
+  uint64_t received = 0;
+  std::thread consumer([&] {
+    for (uint64_t i = 0; i < kFrames; ++i) {
+      auto f = pair.b->recv_frame(std::nullopt);
+      if (!f.has_value()) return;
+      if (*f == seq_frame(i)) ++received;
+      spin_for_ns(5000);
+    }
+  });
+  for (uint64_t i = 0; i < kFrames; ++i) {
+    while (!pair.a->send_frame(seq_frame(i))) std::this_thread::yield();
+  }
+  consumer.join();
+  EXPECT_EQ(received, kFrames);
+  EXPECT_LT(doorbells() - rung0, kFrames);
+}
+
+TEST(ShmWake, NonBlockingConsumersAreNeverRung) {
+  // A consumer that only drains (the datapath end) and a BusyPoll
+  // consumer never park, so their producers make no syscall at all.
+  for (const ShmWaitMode mode : {ShmWaitMode::Blocking, ShmWaitMode::BusyPoll}) {
+    auto pair = make_shm_ring_pair(1 << 16, mode);
+    const uint64_t rung0 = doorbells();
+    size_t drained = 0;
+    for (uint64_t i = 0; i < 1000; ++i) {
+      ASSERT_TRUE(pair.a->send_frame(seq_frame(i)));
+      if (i % 10 == 9) drained += pair.b->drain_frames([](std::span<const uint8_t>) {});
+    }
+    std::thread consumer([&] {
+      for (int i = 0; i < 100; ++i) {
+        if (mode == ShmWaitMode::BusyPoll) {
+          drained += pair.b->recv_frame(std::nullopt).has_value();
+        } else {
+          drained += pair.b->try_recv_frame().has_value();
+        }
+      }
+    });
+    for (uint64_t i = 0; i < 100; ++i) ASSERT_TRUE(pair.a->send_frame(seq_frame(i)));
+    consumer.join();
+    drained += pair.b->drain_frames([](std::span<const uint8_t>) {});
+    EXPECT_EQ(drained, 1100u);
+    EXPECT_EQ(doorbells() - rung0, 0u);
+  }
 }
 
 TEST(InProcTransport, CloseDrainsRemainingFrames) {

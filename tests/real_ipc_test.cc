@@ -4,6 +4,7 @@
 // Figure 1 architecture with no simulator shortcuts.
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <thread>
 
 #include "agent/transport_loop.hpp"
@@ -15,6 +16,9 @@ namespace ccp {
 namespace {
 
 struct RealStack {
+  // The agent lives on its loop thread, which holds this lock while it
+  // handles a frame; the test body reads agent state only under it.
+  std::mutex agent_mu;
   ipc::TransportPair channel;
   std::unique_ptr<agent::CcpAgent> agent;
   std::unique_ptr<agent::TransportLoop> agent_loop;
@@ -29,13 +33,25 @@ struct RealStack {
     });
     algorithms::register_builtin_algorithms(*agent);
     agent_loop = std::make_unique<agent::TransportLoop>(
-        *channel.b, [this](std::span<const uint8_t> f) { agent->handle_frame(f); });
+        *channel.b, [this](std::span<const uint8_t> f) {
+          std::lock_guard<std::mutex> hold(agent_mu);
+          agent->handle_frame(f);
+        });
     dp = std::make_unique<datapath::CcpDatapath>(
         datapath::DatapathConfig{},
         [this](std::span<const uint8_t> f) { channel.a->send_frame(f); });
   }
 
   ~RealStack() { agent_loop->stop(); }
+
+  agent::AgentStats agent_stats() {
+    std::lock_guard<std::mutex> hold(agent_mu);
+    return agent->stats();
+  }
+  size_t agent_flows() {
+    std::lock_guard<std::mutex> hold(agent_mu);
+    return agent->num_flows();
+  }
 
   void pump(TimePoint now) {
     while (auto frame = channel.a->try_recv_frame()) {
@@ -83,10 +99,10 @@ TEST_P(RealIpcTest, AgentInstallsProgramOverTheWire) {
   // default program also defines "acked", so distinguish by a register
   // only the default program has ("snd") having disappeared.
   ASSERT_TRUE(stack.wait_for([&] {
-    return stack.agent->stats().installs_sent >= 1 &&
+    return stack.agent_stats().installs_sent >= 1 &&
            flow.fold().program()->fold_index("snd") < 0;
   }));
-  EXPECT_EQ(stack.agent->stats().flows_created, 1u);
+  EXPECT_EQ(stack.agent_stats().flows_created, 1u);
   EXPECT_GE(flow.fold().program()->fold_index("acked"), 0);
 }
 
@@ -102,7 +118,7 @@ TEST_P(RealIpcTest, SlowStartGrowsWindowEndToEnd) {
     return flow.cwnd_bytes() > 2 * w0;
   });
   EXPECT_TRUE(grew);
-  EXPECT_GT(stack.agent->stats().measurements, 0u);
+  EXPECT_GT(stack.agent_stats().measurements, 0u);
 }
 
 TEST_P(RealIpcTest, UrgentLossRoundTripCutsWindow) {
@@ -114,7 +130,7 @@ TEST_P(RealIpcTest, UrgentLossRoundTripCutsWindow) {
   auto& flow = stack.dp->create_flow(datapath::FlowConfig{1460, 10 * 1460}, "vegas",
                                      monotonic_now());
   ASSERT_TRUE(stack.wait_for(
-      [&] { return stack.agent->stats().installs_sent >= 1; }));
+      [&] { return stack.agent_stats().installs_sent >= 1; }));
   // Grow to >20 packets (one packet per ~10 ms report)...
   ASSERT_TRUE(stack.wait_for(
       [&] {
@@ -129,16 +145,16 @@ TEST_P(RealIpcTest, UrgentLossRoundTripCutsWindow) {
   const bool halved = stack.wait_for(
       [&] { return flow.cwnd_bytes() < before * 3 / 4; });
   EXPECT_TRUE(halved);
-  EXPECT_GT(stack.agent->stats().urgents, 0u);
+  EXPECT_GT(stack.agent_stats().urgents, 0u);
 }
 
 TEST_P(RealIpcTest, FlowCloseReachesAgent) {
   RealStack stack(make_pair(), "reno");
   auto& flow = stack.dp->create_flow(datapath::FlowConfig{1460, 10 * 1460}, "reno",
                                      monotonic_now());
-  ASSERT_TRUE(stack.wait_for([&] { return stack.agent->num_flows() == 1; }));
+  ASSERT_TRUE(stack.wait_for([&] { return stack.agent_flows() == 1; }));
   stack.dp->close_flow(flow.id(), monotonic_now());
-  EXPECT_TRUE(stack.wait_for([&] { return stack.agent->num_flows() == 0; }));
+  EXPECT_TRUE(stack.wait_for([&] { return stack.agent_flows() == 0; }));
 }
 
 TEST_P(RealIpcTest, ManyFlowsMultiplexOneChannel) {
@@ -149,7 +165,7 @@ TEST_P(RealIpcTest, ManyFlowsMultiplexOneChannel) {
                                            i % 2 == 0 ? "reno" : "cubic",
                                            monotonic_now()));
   }
-  ASSERT_TRUE(stack.wait_for([&] { return stack.agent->num_flows() == 10; }));
+  ASSERT_TRUE(stack.wait_for([&] { return stack.agent_flows() == 10; }));
   // Every flow independently reaches an installed program and grows.
   for (auto* flow : flows) {
     ASSERT_TRUE(stack.wait_for([&] { return flow->fold().installed(); }));

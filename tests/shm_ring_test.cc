@@ -10,6 +10,7 @@
 #include <deque>
 #include <vector>
 
+#include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 
 namespace ccp::ipc {
@@ -29,6 +30,13 @@ struct TestRing {
   const uint8_t* data_end;
 
   bool in_ring(const uint8_t* p) const { return p >= data_begin && p < data_end; }
+
+  // What a corrupt or hostile peer can reach: the shared header and the
+  // record bytes.
+  RingHeader& header() { return *reinterpret_cast<RingHeader*>(mem.data()); }
+  void write_len(uint64_t at, uint32_t len) {
+    std::memcpy(mem.data() + sizeof(RingHeader) + at, &len, 4);
+  }
 };
 
 std::vector<uint8_t> pattern(size_t len, uint8_t seed) {
@@ -235,6 +243,95 @@ TEST(ShmRingBackpressure, FullRingRejectsUntilConsumerFreesSpace) {
   });
   EXPECT_EQ(n, static_cast<size_t>(accepted));
   EXPECT_TRUE(t.ring.empty());
+}
+
+// A peer that scribbles on the shared header or a record's length must
+// not make the consumer read past `tail` or allocate what `len` claims.
+// Each rejection latches corrupt(), counts once, and reads as empty.
+
+uint64_t corrupt_count() { return telemetry::metrics().ipc_ring_corrupt.value(); }
+
+TEST(ShmRingCorrupt, OversizedLenIsRejectedOnEveryConsumerPath) {
+  for (int path = 0; path < 3; ++path) {
+    TestRing t(1 << 12);
+    std::vector<uint8_t> scratch;
+    ASSERT_TRUE(t.ring.push(pattern(10, 1)));
+    t.write_len(0, 0xfffffff0u);  // would be a ~4 GiB allocation
+    const uint64_t c0 = corrupt_count();
+    if (path == 0) {
+      EXPECT_FALSE(t.ring.pop().has_value());
+    } else if (path == 1) {
+      EXPECT_FALSE(t.ring.peek(scratch).has_value());
+    } else {
+      EXPECT_EQ(t.ring.drain(scratch, [](std::span<const uint8_t>) {}), 0u);
+    }
+    EXPECT_TRUE(t.ring.corrupt());
+    EXPECT_EQ(corrupt_count() - c0, 1u);
+    EXPECT_LE(scratch.capacity(), 1u << 12);
+    // Latched: later calls return nothing and do not count again.
+    EXPECT_FALSE(t.ring.pop().has_value());
+    EXPECT_EQ(t.ring.drain(scratch, [](std::span<const uint8_t>) {}), 0u);
+    EXPECT_EQ(corrupt_count() - c0, 1u);
+  }
+}
+
+TEST(ShmRingCorrupt, LenPastTailIsRejectedEvenWithinCapacity) {
+  TestRing t(1 << 12);
+  ASSERT_TRUE(t.ring.push(pattern(10, 2)));
+  t.write_len(0, 11);  // one byte more than the producer published
+  EXPECT_FALSE(t.ring.pop().has_value());
+  EXPECT_TRUE(t.ring.corrupt());
+}
+
+TEST(ShmRingCorrupt, DrainDeliversTheGoodRecordsBeforeACorruptOne) {
+  TestRing t(1 << 12);
+  std::vector<uint8_t> scratch;
+  const auto good = pattern(20, 3);
+  ASSERT_TRUE(t.ring.push(good));
+  ASSERT_TRUE(t.ring.push(pattern(30, 4)));
+  t.write_len(4 + good.size(), 1000);
+  std::vector<std::vector<uint8_t>> seen;
+  const size_t n = t.ring.drain(scratch, [&](std::span<const uint8_t> rec) {
+    seen.emplace_back(rec.begin(), rec.end());
+  });
+  EXPECT_EQ(n, 1u);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], good);
+  EXPECT_TRUE(t.ring.corrupt());
+  // The good record was retired; the corrupt one was not.
+  EXPECT_EQ(t.header().head.load(), 4 + good.size());
+}
+
+TEST(ShmRingCorrupt, TailMoreThanACapacityAheadIsRejected) {
+  constexpr size_t kCap = 1 << 10;
+  TestRing t(kCap);
+  ASSERT_TRUE(t.ring.push(pattern(10, 5)));
+  t.header().tail.store(kCap + 1);
+  const uint64_t c0 = corrupt_count();
+  EXPECT_FALSE(t.ring.pop().has_value());
+  EXPECT_TRUE(t.ring.corrupt());
+  EXPECT_EQ(corrupt_count() - c0, 1u);
+}
+
+TEST(ShmRingCorrupt, TailBehindHeadIsRejected) {
+  TestRing t(1 << 10);
+  ASSERT_TRUE(t.ring.push(pattern(10, 6)));
+  ASSERT_TRUE(t.ring.pop().has_value());
+  t.header().tail.store(2);  // head is 14: tail - head wraps to ~2^64
+  std::vector<uint8_t> scratch;
+  EXPECT_FALSE(t.ring.peek(scratch).has_value());
+  EXPECT_TRUE(t.ring.corrupt());
+  // The producer refuses to write over a ring whose head it cannot trust.
+  TestRing p(1 << 10);
+  p.header().head.store(100);  // consumer claims to have read unwritten bytes
+  EXPECT_FALSE(p.ring.push(pattern(10, 7)));
+}
+
+TEST(ShmRingCorrupt, PartialLengthPrefixIsRejected) {
+  TestRing t(1 << 10);
+  t.header().tail.store(2);  // not even a whole u32 length published
+  EXPECT_FALSE(t.ring.pop().has_value());
+  EXPECT_TRUE(t.ring.corrupt());
 }
 
 }  // namespace
