@@ -29,16 +29,16 @@ Network::Network(sim::EventQueue& events, const ScenarioSpec& spec,
     hop_delay_.push_back(ls.delay);
     hops_.push_back(std::make_unique<sim::Link>(
         events_, std::move(cfg),
-        [this, i](Packet pkt) { route_from_hop(i, pkt); }));
+        [this, i](const Packet& pkt) { route_from_hop(i, pkt); }));
   }
 }
 
-void Network::route_from_hop(size_t hop, Packet pkt) {
+void Network::route_from_hop(size_t hop, const Packet& pkt) {
   const FlowState& flow = flows_[pkt.flow];
   if (hop < flow.path.last) {
-    hops_[hop + 1]->enqueue(std::move(pkt));
+    hops_[hop + 1]->enqueue(pkt);
   } else if (flow.receiver != nullptr) {
-    flow.receiver->on_data(std::move(pkt));
+    flow.receiver->on_data(pkt);
   }
 }
 
@@ -54,21 +54,20 @@ sim::TcpSender& Network::add_flow(const sim::TcpSenderConfig& scfg,
   // Forward access pipe: half the extra RTT, then into the first hop.
   state.access = std::make_unique<sim::DelayPipe>(
       events_, path.extra_rtt / 2,
-      [this, first = path.first](Packet pkt) { hops_[first]->enqueue(std::move(pkt)); });
+      [this, first = path.first](const Packet& pkt) { hops_[first]->enqueue(pkt); });
   // Return pipe: the other half of the extra RTT plus the path's reverse
   // propagation (ACK path mirrors the forward propagation, no queueing).
   Duration reverse_delay = path.extra_rtt / 2;
   for (size_t i = path.first; i <= path.last; ++i) reverse_delay += hop_delay_[i];
   state.reverse = std::make_unique<sim::DelayPipe>(
-      events_, reverse_delay, [this, flow_id](Packet pkt) {
-        flows_[flow_id].sender->on_ack(std::move(pkt));
-      });
+      events_, reverse_delay,
+      [this, flow_id](const Packet& pkt) { flows_[flow_id].sender->on_ack(pkt); });
   state.sender = std::make_unique<sim::TcpSender>(
       events_, flow_id, scfg, cc,
-      [this, flow_id](Packet pkt) { flows_[flow_id].access->enqueue(std::move(pkt)); });
+      [this, flow_id](const Packet& pkt) { flows_[flow_id].access->enqueue(pkt); });
   state.receiver = std::make_unique<sim::TcpReceiver>(
       events_, flow_id, rcfg,
-      [this, flow_id](Packet pkt) { flows_[flow_id].reverse->enqueue(std::move(pkt)); });
+      [this, flow_id](const Packet& pkt) { flows_[flow_id].reverse->enqueue(pkt); });
 
   flows_.push_back(std::move(state));
   sim::TcpSender& sender = *flows_.back().sender;

@@ -63,7 +63,7 @@ class Network {
     std::unique_ptr<sim::DelayPipe> reverse;  // receiver -> sender (ACKs)
   };
 
-  void route_from_hop(size_t hop, sim::Packet pkt);
+  void route_from_hop(size_t hop, const sim::Packet& pkt);
 
   sim::EventQueue& events_;
   std::vector<std::unique_ptr<sim::Link>> hops_;

@@ -5,7 +5,10 @@
 namespace ccp::sim {
 
 SimCcpHost::SimCcpHost(EventQueue& events, CcpHostConfig config)
-    : events_(events), config_(config), rng_(config.seed) {
+    : events_(events),
+      config_(config),
+      rng_(config.seed),
+      tick_(member_event<&SimCcpHost::tick>(this)) {
   datapath_ = std::make_unique<datapath::CcpDatapath>(
       config_.datapath, [this](std::span<const uint8_t> frame) {
         ++frames_dp_to_agent_;
@@ -39,13 +42,21 @@ datapath::CcpFlow& SimCcpHost::create_flow(const datapath::FlowConfig& cfg,
 }
 
 void SimCcpHost::start(TimePoint until) {
-  if (events_.now() > until) return;
+  tick_until_ = until;
+  tick();
+}
+
+void SimCcpHost::tick() {
+  if (events_.now() > tick_until_) return;
   datapath_->tick(events_.now());
-  events_.schedule(config_.datapath_tick, [this, until] { start(until); });
+  events_.schedule_at(events_.now() + config_.datapath_tick, tick_);
 }
 
 SimPrototypeHost::SimPrototypeHost(EventQueue& events, CcpHostConfig config)
-    : events_(events), config_(config), rng_(config.seed) {
+    : events_(events),
+      config_(config),
+      rng_(config.seed),
+      tick_(member_event<&SimPrototypeHost::tick>(this)) {
   datapath_ = std::make_unique<datapath::PrototypeDatapath>(
       config_.datapath, [this](std::span<const uint8_t> frame) {
         events_.schedule(sample_ipc_delay(),
@@ -76,9 +87,14 @@ datapath::PrototypeFlow& SimPrototypeHost::create_flow(
 }
 
 void SimPrototypeHost::start(TimePoint until) {
-  if (events_.now() > until) return;
+  tick_until_ = until;
+  tick();
+}
+
+void SimPrototypeHost::tick() {
+  if (events_.now() > tick_until_) return;
   datapath_->tick(events_.now());
-  events_.schedule(config_.datapath_tick, [this, until] { start(until); });
+  events_.schedule_at(events_.now() + config_.datapath_tick, tick_);
 }
 
 }  // namespace ccp::sim

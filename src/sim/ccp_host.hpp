@@ -38,7 +38,8 @@ class SimCcpHost {
   datapath::CcpFlow& create_flow(const datapath::FlowConfig& cfg,
                                  const std::string& alg_name);
 
-  /// Starts the recurring datapath tick; call once, before run().
+  /// Ticks the datapath now and then every `datapath_tick` through
+  /// `until`; call once, before run().
   void start(TimePoint until);
 
   uint64_t frames_dp_to_agent() const { return frames_dp_to_agent_; }
@@ -46,6 +47,7 @@ class SimCcpHost {
 
  private:
   Duration sample_ipc_delay();
+  void tick();
 
   EventQueue& events_;
   CcpHostConfig config_;
@@ -54,6 +56,8 @@ class SimCcpHost {
   std::unique_ptr<agent::CcpAgent> agent_;
   uint64_t frames_dp_to_agent_ = 0;
   uint64_t frames_agent_to_dp_ = 0;
+  TimePoint tick_until_{};
+  Event tick_;
 };
 
 /// Same wiring, but the host runs the paper's §3 *prototype* datapath
@@ -72,12 +76,15 @@ class SimPrototypeHost {
 
  private:
   Duration sample_ipc_delay();
+  void tick();
 
   EventQueue& events_;
   CcpHostConfig config_;
   Rng rng_;
   std::unique_ptr<datapath::PrototypeDatapath> datapath_;
   std::unique_ptr<agent::CcpAgent> agent_;
+  TimePoint tick_until_{};
+  Event tick_;
 };
 
 }  // namespace ccp::sim

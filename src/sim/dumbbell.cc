@@ -18,13 +18,13 @@ DumbbellConfig DumbbellConfig::make(double rate_bps, Duration base_rtt,
 
 Dumbbell::Dumbbell(EventQueue& events, DumbbellConfig config)
     : events_(events), config_(config) {
-  bottleneck_ = std::make_unique<Link>(events_, config_.bottleneck, [this](Packet pkt) {
+  bottleneck_ = std::make_unique<Link>(events_, config_.bottleneck, [this](const Packet& pkt) {
     if (pkt.flow < receivers_.size() && receivers_[pkt.flow] != nullptr) {
       receivers_[pkt.flow]->on_data(pkt);
     }
   });
   reverse_ = std::make_unique<DelayPipe>(events_, config_.reverse_delay,
-                                         [this](Packet pkt) {
+                                         [this](const Packet& pkt) {
                                            if (pkt.flow < senders_.size() &&
                                                senders_[pkt.flow] != nullptr) {
                                              senders_[pkt.flow]->on_ack(pkt);
@@ -36,9 +36,9 @@ TcpSender& Dumbbell::add_flow(const TcpSenderConfig& scfg, datapath::CcModule* c
                               TimePoint start, TcpReceiverConfig rcfg) {
   const uint32_t flow_id = static_cast<uint32_t>(senders_.size());
   senders_.push_back(std::make_unique<TcpSender>(
-      events_, flow_id, scfg, cc, [this](Packet pkt) { bottleneck_->enqueue(pkt); }));
+      events_, flow_id, scfg, cc, [this](const Packet& pkt) { bottleneck_->enqueue(pkt); }));
   receivers_.push_back(std::make_unique<TcpReceiver>(
-      events_, flow_id, rcfg, [this](Packet pkt) { reverse_->enqueue(pkt); }));
+      events_, flow_id, rcfg, [this](const Packet& pkt) { reverse_->enqueue(pkt); }));
   TcpSender& sender = *senders_.back();
   events_.schedule_at(start < events_.now() ? events_.now() : start,
                       [&sender] { sender.start(); });

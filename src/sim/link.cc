@@ -5,28 +5,27 @@
 
 namespace ccp::sim {
 
-void PacketLine::push(TimePoint at, Packet pkt) {
+void PacketLine::push(TimePoint at, const Packet& pkt) {
   if (!line_.empty() && at < line_.back().key.at) {
     throw std::logic_error("PacketLine: delivery before the one ahead of it");
   }
-  line_.push_back(Entry{EventKey{at, events_.take_ticket()}, std::move(pkt)});
-  if (!head_queued_) queue_head();
-}
-
-void PacketLine::queue_head() {
-  head_queued_ = true;
-  const EventKey& key = line_.front().key;
-  events_.schedule_at(key.at, key.seq, [this] { deliver_head(); });
+  Entry& entry = line_.push();
+  entry.key = EventKey{at, events_.take_ticket()};
+  entry.pkt = pkt;
+  if (!head_.queued()) events_.schedule_at(at, entry.key.seq, head_);
 }
 
 void PacketLine::deliver_head() {
-  Packet pkt = std::move(line_.front().pkt);
-  line_.pop_front();
-  // Queue the next head before the sink runs: a sink that pushes onto
-  // this line again then only appends behind it.
-  head_queued_ = false;
-  if (!line_.empty()) queue_head();
-  sink_(std::move(pkt));
+  // Copy out: the sink may push onto this line and grow the ring.
+  const Packet pkt = line_.front().pkt;
+  line_.pop();
+  // Re-key to the next head before the sink runs: a sink that pushes
+  // onto this line again then only appends behind it.
+  if (!line_.empty()) {
+    const EventKey& next = line_.front().key;
+    events_.schedule_at(next.at, next.seq, head_);
+  }
+  sink_(pkt);
 }
 
 Link::Link(EventQueue& events, LinkConfig config, Sink sink)
@@ -34,26 +33,41 @@ Link::Link(EventQueue& events, LinkConfig config, Sink sink)
       config_(std::move(config)),
       sink_(std::move(sink)),
       propagating_(events,
-                   [this](Packet pkt) {
+                   [this](const Packet& pkt) {
                      ++stats_.delivered_pkts;
                      stats_.delivered_bytes += pkt.wire_bytes();
-                     sink_(std::move(pkt));
+                     sink_(pkt);
                    }),
       initial_rate_bps_(config_.rate_bps),
-      loss_rng_(config_.loss_seed) {
+      loss_rng_(config_.loss_seed),
+      service_(member_event<&Link::service_next>(this)),
+      rate_change_(member_event<&Link::apply_rate_change>(this)) {
   // Arm the variable-rate schedule. Each change fires once, at its
-  // absolute time; the schedule is part of the config, so two links
-  // built from the same config produce identical rate trajectories.
+  // absolute time and under the ticket it takes here; the schedule is
+  // part of the config, so two links built from the same config produce
+  // identical rate trajectories.
   for (const RateChange& change : config_.rate_schedule) {
-    events_.schedule_at(TimePoint::epoch() + change.at,
-                        [this, rate = change.rate_bps] {
-                          config_.rate_bps = rate;
-                          ++stats_.rate_changes_applied;
-                        });
+    rate_changes_.push_back(
+        {EventKey{TimePoint::epoch() + change.at, events_.take_ticket()}, change.rate_bps});
+  }
+  std::sort(rate_changes_.begin(), rate_changes_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  if (!rate_changes_.empty()) {
+    const EventKey& first = rate_changes_.front().first;
+    events_.schedule_at(first.at, first.seq, rate_change_);
   }
 }
 
-void Link::enqueue(Packet pkt) {
+void Link::apply_rate_change() {
+  config_.rate_bps = rate_changes_[next_rate_change_++].second;
+  ++stats_.rate_changes_applied;
+  if (next_rate_change_ < rate_changes_.size()) {
+    const EventKey& next = rate_changes_[next_rate_change_].first;
+    events_.schedule_at(next.at, next.seq, rate_change_);
+  }
+}
+
+void Link::enqueue(const Packet& pkt) {
   // Random ("wireless") loss acts before the queue: the packet never
   // occupied buffer space. Drawn per arriving packet so the drop
   // sequence is a pure function of (loss_seed, arrival order).
@@ -69,32 +83,29 @@ void Link::enqueue(Packet pkt) {
     ++stats_.dropped_pkts;
     return;
   }
+  Packet& queued = queue_.push();
+  queued = pkt;
   if (pkt.ect && queue_bytes_ >= config_.ecn_threshold_bytes) {
-    pkt.ce = true;
+    queued.ce = true;
     ++stats_.marked_pkts;
   }
   queue_bytes_ += pkt.wire_bytes();
   stats_.max_queue_bytes = std::max(stats_.max_queue_bytes, queue_bytes_);
   ++stats_.enqueued_pkts;
-  queue_.push_back(std::move(pkt));
-  if (!busy_) service_next();
+  if (!service_.queued()) service_next();
 }
 
 void Link::service_next() {
-  if (queue_.empty()) {
-    busy_ = false;
-    return;
-  }
-  busy_ = true;
-  Packet pkt = std::move(queue_.front());
-  queue_.pop_front();
+  if (queue_.empty()) return;  // idle until the next enqueue
+  const Packet& pkt = queue_.front();
   queue_bytes_ -= pkt.wire_bytes();
 
   const Duration tx_time = serialization_delay(pkt.wire_bytes());
   // The next packet starts transmitting when this one finishes...
-  events_.schedule(tx_time, [this] { service_next(); });
+  events_.schedule_at(events_.now() + tx_time, service_);
   // ...and this one arrives after transmission plus propagation.
-  propagating_.push(events_.now() + tx_time + config_.prop_delay, std::move(pkt));
+  propagating_.push(events_.now() + tx_time + config_.prop_delay, pkt);
+  queue_.pop();
 }
 
 double Link::mean_rate_bps(Duration until) const {

@@ -17,8 +17,8 @@
 //     once). The packet being serialized keeps the rate it started
 //     with; later packets see the new rate.
 //
-// Packets in propagation wait in a PacketLine: a FIFO of
-// {at, ticket, Packet} drained by one queued event. Deliveries out of a
+// Packets in propagation wait in a PacketLine: a ring FIFO of
+// {at, ticket, Packet} drained by one owned event. Deliveries out of a
 // link are monotone in (at, seq) because service is sequential and the
 // propagation delay is constant; out of a DelayPipe because its delay is
 // constant. So the FIFO head is always the next delivery due, and every
@@ -27,13 +27,14 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/packet.hpp"
+#include "sim/ring.hpp"
 #include "util/rng.hpp"
 
 namespace ccp::sim {
@@ -66,21 +67,23 @@ struct LinkStats {
   uint64_t max_queue_bytes = 0;
 };
 
-/// Packets in flight toward one sink, delivered in push order by a
-/// single queued event. Each push takes a ticket at push time, so a
-/// delivery runs where an event scheduled by the push would have run.
-/// Pushes must be nondecreasing in delivery time.
+/// Packets in flight toward one sink, delivered in push order by one
+/// owned event keyed to the head. Each push takes a ticket at push time,
+/// so a delivery runs where an event scheduled by the push would have
+/// run. Pushes must be nondecreasing in delivery time.
 class PacketLine {
  public:
-  using Sink = std::function<void(Packet)>;
+  using Sink = std::function<void(const Packet&)>;
 
   PacketLine(EventQueue& events, Sink sink)
-      : events_(events), sink_(std::move(sink)) {}
+      : events_(events),
+        sink_(std::move(sink)),
+        head_(member_event<&PacketLine::deliver_head>(this)) {}
   PacketLine(const PacketLine&) = delete;
   PacketLine& operator=(const PacketLine&) = delete;
 
   /// Puts `pkt` in flight for delivery to the sink at `at`.
-  void push(TimePoint at, Packet pkt);
+  void push(TimePoint at, const Packet& pkt);
 
  private:
   struct Entry {
@@ -88,24 +91,23 @@ class PacketLine {
     Packet pkt;
   };
 
-  void queue_head();
   void deliver_head();
 
   EventQueue& events_;
   Sink sink_;
-  std::deque<Entry> line_;
-  bool head_queued_ = false;
+  Ring<Entry> line_;
+  Event head_;
 };
 
 class Link {
  public:
-  using Sink = std::function<void(Packet)>;
+  using Sink = std::function<void(const Packet&)>;
 
   Link(EventQueue& events, LinkConfig config, Sink sink);
 
   /// Offers a packet to the queue; may drop (random loss or drop-tail)
   /// or CE-mark it.
-  void enqueue(Packet pkt);
+  void enqueue(const Packet& pkt);
 
   uint64_t queue_bytes() const { return queue_bytes_; }
   const LinkConfig& config() const { return config_; }
@@ -124,6 +126,7 @@ class Link {
 
  private:
   void service_next();
+  void apply_rate_change();
 
   EventQueue& events_;
   LinkConfig config_;
@@ -131,9 +134,13 @@ class Link {
   PacketLine propagating_;  // serialized, not yet delivered
   double initial_rate_bps_;  // config rate before any schedule applied
   Rng loss_rng_;
-  std::deque<Packet> queue_;
+  Ring<Packet> queue_;
   uint64_t queue_bytes_ = 0;
-  bool busy_ = false;
+  Event service_;  // queued while a packet is being serialized
+  // The rate schedule as (key, rate), in key order, walked by one event.
+  std::vector<std::pair<EventKey, double>> rate_changes_;
+  size_t next_rate_change_ = 0;
+  Event rate_change_;
   LinkStats stats_;
 };
 
@@ -146,7 +153,7 @@ class DelayPipe {
   DelayPipe(EventQueue& events, Duration delay, Sink sink)
       : events_(events), delay_(delay), line_(events, std::move(sink)) {}
 
-  void enqueue(Packet pkt) { line_.push(events_.now() + delay_, std::move(pkt)); }
+  void enqueue(const Packet& pkt) { line_.push(events_.now() + delay_, pkt); }
 
  private:
   EventQueue& events_;

@@ -14,7 +14,8 @@ TcpSender::TcpSender(EventQueue& events, uint32_t flow_id, TcpSenderConfig confi
       cc_(cc),
       egress_(std::move(egress)),
       rto_timer_(events, [this] { on_rto_fire(); }),
-      tlp_timer_(events, [this] { on_tlp_fire(); }) {}
+      tlp_timer_(events, [this] { on_tlp_fire(); }),
+      pace_kick_(member_event<&TcpSender::try_send>(this)) {}
 
 void TcpSender::start() {
   started_ = true;
@@ -59,16 +60,10 @@ void TcpSender::try_send() {
   for (;;) {
     // 1. Retransmissions of lost segments take priority (RFC 6675).
     if (lost_unrexmitted_bytes_ > 0 && bytes_in_flight() + config_.mss <= cwnd) {
-      auto it = std::find_if(scoreboard_.begin(), scoreboard_.end(),
-                             [](const SegState& seg) {
-                               return seg.lost && !seg.rexmitted;
-                             });
-      if (it != scoreboard_.end()) {
-        if (!pacing_allows(it->len)) return;
-        it->rexmitted = true;
-        it->sent_time = events_.now();
-        lost_unrexmitted_bytes_ -= it->len;
-        send_segment(it->seq, it->len, /*retransmit=*/true);
+      const size_t i = first_unrepaired();
+      if (i < scoreboard_.size()) {
+        if (!pacing_allows(scoreboard_[i].len)) return;
+        repair(i);
         continue;
       }
       lost_unrexmitted_bytes_ = 0;  // scoreboard says otherwise; resync
@@ -81,20 +76,49 @@ void TcpSender::try_send() {
     if (bytes_in_flight() + len > cwnd) return;
     if (!pacing_allows(len)) return;
 
-    scoreboard_.push_back(SegState{snd_nxt_, len, false, false, false,
-                                   events_.now(), events_.now()});
+    scoreboard_.push_back(
+        SegState{.seq = snd_nxt_, .len = len, .sent_time = events_.now(),
+                 .first_sent = events_.now()});
     send_segment(snd_nxt_, len, /*retransmit=*/false);
     snd_nxt_ += len;
   }
 }
 
 void TcpSender::schedule_pacing_kick(TimePoint at) {
-  if (pace_kick_scheduled_) return;
-  pace_kick_scheduled_ = true;
-  events_.schedule_at(at < events_.now() ? events_.now() : at, [this] {
-    pace_kick_scheduled_ = false;
-    try_send();
-  });
+  if (pace_kick_.queued()) return;
+  events_.schedule_at(at < events_.now() ? events_.now() : at, pace_kick_);
+}
+
+size_t TcpSender::next_unsacked(size_t i) {
+  const size_t n = scoreboard_.size();
+  size_t j = i;
+  while (j < n && scoreboard_[j].sacked) j += scoreboard_[j].skip;
+  // Path compression: point every SACKed segment passed straight at j.
+  while (i < j) {
+    SegState& seg = scoreboard_[i];
+    const size_t next = i + seg.skip;
+    seg.skip = static_cast<uint32_t>(j - i);
+    i = next;
+  }
+  return j;
+}
+
+size_t TcpSender::first_unrepaired() {
+  // Lost segments are never SACKed, so only unSACKed ones need a look.
+  size_t i = next_unsacked(0);
+  while (i < scoreboard_.size() &&
+         !(scoreboard_[i].lost && !scoreboard_[i].rexmitted)) {
+    i = next_unsacked(i + 1);
+  }
+  return i;
+}
+
+void TcpSender::repair(size_t i) {
+  SegState& seg = scoreboard_[i];
+  seg.rexmitted = true;
+  seg.sent_time = events_.now();
+  lost_unrexmitted_bytes_ -= seg.len;
+  send_segment(seg.seq, seg.len, /*retransmit=*/true);
 }
 
 void TcpSender::send_segment(uint64_t seq, uint32_t len, bool retransmit) {
@@ -147,22 +171,22 @@ uint64_t TcpSender::process_sacks(const Packet& ack) {
     const uint64_t start = ack.sack_start[i];
     const uint64_t end = ack.sack_end[i];
     high_sacked_ = std::max(high_sacked_, end);
-    auto it = std::lower_bound(
-        scoreboard_.begin(), scoreboard_.end(), start,
-        [](const SegState& seg, uint64_t seq) { return seg.seq < seq; });
-    for (; it != scoreboard_.end() && it->seq < end; ++it) {
-      SegState& seg = *it;
-      if (!seg.sacked) {
-        seg.sacked = true;
-        sacked_bytes_ += seg.len;
-        newly_sacked += seg.len;
-        rack_newest_delivered_ =
-            std::max(rack_newest_delivered_, seg.sent_time);
-        if (seg.lost) {
-          // Spuriously marked lost but actually delivered.
-          seg.lost = false;
-          if (!seg.rexmitted) lost_unrexmitted_bytes_ -= seg.len;
-        }
+    const size_t from = static_cast<size_t>(
+        std::lower_bound(scoreboard_.begin(), scoreboard_.end(), start,
+                         [](const SegState& seg, uint64_t seq) { return seg.seq < seq; }) -
+        scoreboard_.begin());
+    for (size_t i = next_unsacked(from);
+         i < scoreboard_.size() && scoreboard_[i].seq < end; i = next_unsacked(i)) {
+      SegState& seg = scoreboard_[i];
+      seg.sacked = true;
+      seg.skip = 1;
+      sacked_bytes_ += seg.len;
+      newly_sacked += seg.len;
+      rack_newest_delivered_ = std::max(rack_newest_delivered_, seg.sent_time);
+      if (seg.lost) {
+        // Spuriously marked lost but actually delivered.
+        seg.lost = false;
+        if (!seg.rexmitted) lost_unrexmitted_bytes_ -= seg.len;
       }
     }
   }
@@ -182,7 +206,11 @@ uint32_t TcpSender::detect_losses() {
       srtt_.is_zero() ? Duration::from_millis(1) : srtt_ / 4;
   const bool have_rack = rack_newest_delivered_ != TimePoint{};
 
-  for (SegState& seg : scoreboard_) {
+  // SACKed segments are skipped: they are never marked, and since the
+  // stop condition below is monotone in seq, the first unSACKed segment
+  // past it is where the scan would have stopped anyway.
+  for (size_t i = next_unsacked(0); i < scoreboard_.size(); i = next_unsacked(i + 1)) {
+    SegState& seg = scoreboard_[i];
     // Past both frontiers nothing further can be marked: the byte rule
     // is monotone in seq, and sent_time >= first_sent, which ascends
     // with seq, bounds every later RACK comparison.
@@ -191,7 +219,6 @@ uint32_t TcpSender::detect_losses() {
     const bool rack_frontier_passed =
         !have_rack || seg.first_sent + reo_wnd >= rack_newest_delivered_;
     if (byte_frontier_passed && rack_frontier_passed) break;
-    if (seg.sacked) continue;
     if (seg.lost) {
       // A retransmission can itself be lost: RACK re-marks it once newer
       // data is known delivered.
@@ -225,15 +252,8 @@ void TcpSender::enter_recovery() {
   cc_->on_loss(datapath::LossEvent{events_.now(), 1, bytes_in_flight()});
   // Classic fast retransmit: the first repair goes out immediately, even
   // if the pipe is still above the (freshly reduced) window.
-  auto it = std::find_if(
-      scoreboard_.begin(), scoreboard_.end(),
-      [](const SegState& seg) { return seg.lost && !seg.rexmitted; });
-  if (it != scoreboard_.end()) {
-    it->rexmitted = true;
-    it->sent_time = events_.now();
-    lost_unrexmitted_bytes_ -= it->len;
-    send_segment(it->seq, it->len, /*retransmit=*/true);
-  }
+  const size_t i = first_unrepaired();
+  if (i < scoreboard_.size()) repair(i);
 }
 
 void TcpSender::update_rtt(Duration sample) {

@@ -47,7 +47,7 @@ struct TcpSenderStats {
 
 class TcpSender {
  public:
-  using Egress = std::function<void(Packet)>;
+  using Egress = std::function<void(const Packet&)>;
 
   TcpSender(EventQueue& events, uint32_t flow_id, TcpSenderConfig config,
             datapath::CcModule* cc, Egress egress);
@@ -87,6 +87,9 @@ class TcpSender {
   struct SegState {
     uint64_t seq = 0;
     uint32_t len = 0;
+    // SACKed segments only: segments [i, i + skip) are all SACKed. Kept
+    // short by path compression in next_unsacked().
+    uint32_t skip = 0;
     bool sacked = false;
     bool lost = false;
     bool rexmitted = false;     // retransmitted since marked lost
@@ -95,6 +98,13 @@ class TcpSender {
   };
 
   void send_segment(uint64_t seq, uint32_t len, bool retransmit);
+  /// Index of the first unSACKed scoreboard segment at or after `i`
+  /// (scoreboard_.size() when there is none).
+  size_t next_unsacked(size_t i);
+  /// Index of the first segment marked lost and not yet retransmitted.
+  size_t first_unrepaired();
+  /// Retransmits the segment at index `i`, marked lost.
+  void repair(size_t i);
   /// Returns bytes newly SACKed by this ACK.
   uint64_t process_sacks(const Packet& ack);
   /// Returns the number of segments newly marked lost.
@@ -124,6 +134,10 @@ class TcpSender {
 
   // Scoreboard: every outstanding segment, ascending and contiguous in
   // seq. Segments are appended at snd_nxt_ and retired from the front.
+  // Scans jump over SACKed runs by their skip distances. That is exact
+  // because a segment is never unSACKed, a lost segment is never SACKed
+  // (SACKing clears the mark), and the distances are relative, so
+  // retiring from the front keeps them valid.
   std::deque<SegState> scoreboard_;
   uint64_t sacked_bytes_ = 0;
   uint64_t lost_unrexmitted_bytes_ = 0;
@@ -152,9 +166,9 @@ class TcpSender {
   // recovery.
   Timer tlp_timer_;
 
-  // Pacing.
+  // Pacing: one owned kick event, queued while the sender waits.
   TimePoint next_pace_time_{};
-  bool pace_kick_scheduled_ = false;
+  Event pace_kick_;
 
   Duration last_rtt_ = Duration::zero();
   SampleSet rtt_samples_;
@@ -172,7 +186,7 @@ struct TcpReceiverConfig {
 
 class TcpReceiver {
  public:
-  using Egress = std::function<void(Packet)>;
+  using Egress = std::function<void(const Packet&)>;
 
   TcpReceiver(EventQueue& events, uint32_t flow_id, TcpReceiverConfig config,
               Egress egress);

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/link.hpp"
 #include "sim/timer.hpp"
 #include "util/rng.hpp"
 
@@ -144,6 +147,200 @@ TEST(EventQueue, RejectsTicketBehindTheRunningEvent) {
   EXPECT_TRUE(threw);
 }
 
+// ---- intrusive events ----
+
+// Reference queue: an ordered map of (at, seq) -> closure under the
+// same ticket counter, one closure per schedule call. A generation
+// counter per intrusive event turns superseded and cancelled closures
+// into no-ops.
+class ReferenceSide {
+ public:
+  TimePoint now() const { return now_; }
+  void closure(TimePoint at, std::function<void()> fn) {
+    queue_.emplace(EventKey{at, next_seq_++}, std::move(fn));
+  }
+  void add(std::function<void()> on_fire) { slots_.push_back(Slot{std::move(on_fire)}); }
+  void schedule(size_t i, TimePoint at) {
+    Slot& slot = slots_[i];
+    slot.queued = true;
+    closure(at, [this, i, gen = ++slot.gen] {
+      Slot& s = slots_[i];
+      if (s.gen != gen) return;
+      s.queued = false;
+      s.on_fire();
+    });
+  }
+  void cancel(size_t i) {
+    ++slots_[i].gen;
+    slots_[i].queued = false;
+  }
+  bool queued(size_t i) const { return slots_[i].queued; }
+  void run() {
+    while (!queue_.empty()) {
+      auto node = queue_.extract(queue_.begin());
+      now_ = node.key().at;
+      node.mapped()();
+    }
+  }
+
+ private:
+  struct Slot {
+    std::function<void()> on_fire;
+    uint64_t gen = 0;
+    bool queued = false;
+  };
+  std::map<EventKey, std::function<void()>> queue_;
+  std::vector<Slot> slots_;
+  TimePoint now_ = TimePoint::epoch();
+  uint64_t next_seq_ = 0;
+};
+
+// The same interface over EventQueue: one owned Event per source, plain
+// closures through schedule_at().
+class IntrusiveSide {
+ public:
+  TimePoint now() const { return queue_.now(); }
+  void closure(TimePoint at, std::function<void()> fn) { queue_.schedule_at(at, std::move(fn)); }
+  void add(std::function<void()> on_fire) {
+    slots_.push_back(std::make_unique<Slot>(std::move(on_fire)));
+  }
+  void schedule(size_t i, TimePoint at) { queue_.schedule_at(at, slots_[i]->event); }
+  void cancel(size_t i) { queue_.cancel(slots_[i]->event); }
+  bool queued(size_t i) const { return slots_[i]->event.queued(); }
+  void run() { queue_.run(); }
+
+ private:
+  struct Slot {
+    explicit Slot(std::function<void()> f)
+        : on_fire(std::move(f)), event(member_event<&Slot::fire>(this)) {}
+    void fire() { on_fire(); }
+    std::function<void()> on_fire;
+    Event event;
+  };
+  EventQueue queue_;
+  std::vector<std::unique_ptr<Slot>> slots_;
+};
+
+// Drives five intrusive events and a stream of closures through a
+// seeded script: insert, re-key earlier / later / to now, and cancel,
+// from script steps and from inside a firing event, which half the time
+// acts on itself (re-keying or cancelling itself, or both in turn).
+// Logs every script step, closure and event firing as (time ns, tag).
+template <typename Side>
+std::vector<std::pair<int64_t, int>> run_event_script(uint64_t seed) {
+  constexpr size_t kEvents = 5;
+  Side side;
+  Rng rng(seed);
+  std::vector<std::pair<int64_t, int>> log;
+  std::vector<TimePoint> deadline(kEvents);
+  const auto ns = [](uint64_t n) { return Duration::from_nanos(static_cast<int64_t>(n)); };
+  std::function<void(int)> random_op = [&](int self) {
+    const TimePoint now = side.now();
+    const size_t i = self >= 0 && rng.next_below(2) == 0 ? static_cast<size_t>(self)
+                                                         : rng.next_below(kEvents);
+    const auto schedule = [&](TimePoint at) {
+      deadline[i] = at;
+      side.schedule(i, at);
+    };
+    switch (rng.next_below(6)) {
+      case 0:  // insert, or re-key anywhere
+        schedule(now + ns(rng.next_below(500)));
+        break;
+      case 1:
+        side.cancel(i);
+        break;
+      case 2:  // earlier (or equal), when queued
+        if (side.queued(i)) schedule(now + ns(rng.next_below((deadline[i] - now).nanos() + 1)));
+        break;
+      case 3:  // later
+        schedule((side.queued(i) ? deadline[i] : now) + ns(1 + rng.next_below(500)));
+        break;
+      case 4:
+        schedule(now);
+        break;
+      default: {  // a closure, possibly at this very instant
+        const int tag = 1000 + static_cast<int>(rng.next_below(1000));
+        side.closure(now + ns(rng.next_below(3) == 0 ? 0 : rng.next_below(400)),
+                     [&log, &side, tag] { log.push_back({side.now().nanos(), tag}); });
+        break;
+      }
+    }
+  };
+  for (size_t i = 0; i < kEvents; ++i) {
+    side.add([&, i] {
+      log.push_back({side.now().nanos(), static_cast<int>(i)});
+      const int ops = static_cast<int>(rng.next_below(3));
+      for (int k = 0; k < ops; ++k) random_op(static_cast<int>(i));
+    });
+  }
+  int steps = 0;
+  std::function<void()> drive = [&] {
+    log.push_back({side.now().nanos(), -1 - steps});
+    const int ops = 1 + static_cast<int>(rng.next_below(3));
+    for (int k = 0; k < ops; ++k) random_op(-1);
+    if (++steps < 3000) side.closure(side.now() + ns(rng.next_below(250)), drive);
+  };
+  side.closure(side.now(), drive);
+  side.run();
+  return log;
+}
+
+TEST(EventQueue, IntrusiveEventsMatchClosurePerEventReference) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const auto intrusive = run_event_script<IntrusiveSide>(seed);
+    const auto reference = run_event_script<ReferenceSide>(seed);
+    size_t fires = 0;
+    for (const auto& [at, tag] : reference) fires += tag >= 0 && tag < 1000;
+    EXPECT_GT(fires, 1000u) << "seed " << seed;
+    EXPECT_EQ(intrusive, reference) << "seed " << seed;
+  }
+}
+
+TEST(EventQueue, OwnersDestroyedWhileQueuedUnlinkTheirEvents) {
+  EventQueue q;
+  int fired = 0;
+  auto timer = std::make_unique<Timer>(q, [&] { ++fired; });
+  auto pipe = std::make_unique<DelayPipe>(q, Duration::from_millis(5),
+                                          [&](const Packet&) { ++fired; });
+  LinkConfig cfg;
+  cfg.rate_bps = 8e6;  // 1000 wire bytes -> 1 ms
+  cfg.rate_schedule = {{Duration::from_millis(3), 16e6}, {Duration::from_millis(4), 8e6}};
+  auto link = std::make_unique<Link>(q, cfg, [&](const Packet&) { ++fired; });
+  std::vector<int> order;
+  q.schedule(Duration::from_millis(1), [&] {
+    order.push_back(1);
+    timer.reset();
+  });
+  q.schedule(Duration::from_millis(2), [&] {
+    order.push_back(2);
+    // Mid-serialization, with packets propagating and rate changes due.
+    EXPECT_GT(q.pending(), 3u);
+    pipe.reset();
+    link.reset();
+  });
+  q.schedule(Duration::from_millis(30), [&] { order.push_back(3); });
+  timer->arm(TimePoint::epoch() + Duration::from_millis(4));
+  Packet pkt;
+  pkt.len = 960;
+  pipe->enqueue(pkt);
+  for (int i = 0; i < 4; ++i) link->enqueue(pkt);
+  q.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(fired, 0);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, QueueDestroyedBeforeItsEventsLeavesThemIdle) {
+  auto q = std::make_unique<EventQueue>();
+  Timer timer(*q, [] {});
+  DelayPipe pipe(*q, Duration::from_millis(5), [](const Packet&) {});
+  timer.arm(TimePoint::epoch() + Duration::from_millis(1));
+  pipe.enqueue(Packet{});
+  q->schedule(Duration::from_millis(2), [] {});
+  q.reset();
+  EXPECT_FALSE(timer.armed());
+}
+
 // ---- sim::Timer ----
 
 // Reference timer: one queued event per arm; a generation counter turns
@@ -273,7 +470,7 @@ TEST(Timer, ReArmingEarlierQueuesAndFiresOnce) {
   Timer timer(q, [&] { fired_at.push_back(q.now().nanos()); });
   timer.arm(TimePoint::epoch() + Duration::from_micros(10));
   timer.arm(TimePoint::epoch() + Duration::from_micros(5));
-  EXPECT_EQ(q.pushes(), 2u);
+  EXPECT_EQ(q.pushes(), 1u);
   q.run();
   EXPECT_EQ(fired_at, (std::vector<int64_t>{5000}));
   EXPECT_FALSE(timer.armed());

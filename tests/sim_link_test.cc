@@ -151,6 +151,27 @@ TEST(DelayPipe, ZeroDelayReentrantEnqueueStaysFifo) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(DelayPipe, SinkGrowsTheRingDuringDelivery) {
+  EventQueue q;
+  std::vector<uint64_t> order;
+  DelayPipe* self = nullptr;
+  DelayPipe pipe(q, Duration::zero(), [&](const Packet& p) {
+    // The first delivery pushes 100 packets onto its own pipe, growing
+    // the ring several times while the delivered packet is still in use.
+    if (p.seq == 0) {
+      for (uint64_t seq = 3; seq < 103; ++seq) self->enqueue(data_pkt(0, seq, 100));
+    }
+    order.push_back(p.seq);
+  });
+  self = &pipe;
+  for (uint64_t seq = 0; seq < 3; ++seq) pipe.enqueue(data_pkt(0, seq, 100));
+  q.run_until(TimePoint::epoch());
+  std::vector<uint64_t> expected;
+  for (uint64_t seq = 0; seq < 103; ++seq) expected.push_back(seq);
+  EXPECT_EQ(order, expected);
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(DelayPipe, KeepsOneQueuedEventForAllPacketsInFlight) {
   EventQueue q;
   int delivered = 0;
@@ -192,6 +213,43 @@ TEST(Link, DeliveriesStayOrderedAcrossRateChange) {
       {0, 2000}, {1, 3000}, {2, 4000}, {3, 4500}, {4, 5000}, {5, 5500}};
   EXPECT_EQ(got, expected);
   EXPECT_EQ(link.stats().rate_changes_applied, 1u);
+}
+
+TEST(Link, SinkReentersTheSameLinkInFifoOrder) {
+  EventQueue q;
+  LinkConfig cfg;
+  cfg.rate_bps = 8e6;  // 1000 wire bytes -> 1 ms
+  cfg.prop_delay = Duration::from_millis(20);  // ~20 packets propagating
+  cfg.queue_capacity_bytes = 1'000'000;
+  std::vector<uint64_t> offered;
+  std::vector<std::pair<uint64_t, int64_t>> got;  // (seq, arrival us)
+  Link* self = nullptr;
+  const auto offer = [&](uint64_t seq) {
+    offered.push_back(seq);
+    self->enqueue(data_pkt(0, seq, 960));
+  };
+  Link link(q, cfg, [&](const Packet& p) {
+    // Each of the first 40 packets sends three more through this link
+    // from inside its delivery: the queue and the propagation ring both
+    // grow while the link is mid-stream.
+    if (p.seq < 40) {
+      for (int i = 0; i < 3; ++i) offer(offered.size());
+    }
+    got.push_back({p.seq, (q.now() - TimePoint::epoch()).micros()});
+  });
+  self = &link;
+  for (uint64_t seq = 0; seq < 4; ++seq) offer(seq);
+  q.run();
+  ASSERT_EQ(got.size(), 4u + 3u * 40u);
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, offered[i]) << i;
+    // Sequential service: deliveries at least one serialization apart.
+    if (i > 0) {
+      EXPECT_GE(got[i].second - got[i - 1].second, 1000) << i;
+    }
+  }
+  EXPECT_EQ(link.stats().dropped_pkts, 0u);
+  EXPECT_EQ(link.stats().delivered_pkts, got.size());
 }
 
 TEST(Link, KeepsOneDeliveryEventForPacketsInPropagation) {

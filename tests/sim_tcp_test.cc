@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "algorithms/native/native_cubic.hpp"
 #include "algorithms/native/native_reno.hpp"
 #include "sim/dumbbell.hpp"
 #include "sim/tcp.hpp"
@@ -367,6 +370,85 @@ TEST(TcpEndToEnd, DeterministicAcrossRuns) {
                            snd.stats().segments_sent);
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// ---------------------------------------------------- recovery goldens
+//
+// Seeded transfers over a bottleneck with iid random loss at 0.1%, 1%
+// and 5%, pinned by a 64-bit FNV-1a digest of every sender's stats,
+// smoothed RTT and delivered bytes. Heavy random loss keeps SACK
+// recovery busy (many holes, lost retransmissions, RACK re-marks, tail
+// probes, timeouts), so these catch any change to the scoreboard scans
+// or the event core that moves a single segment. On a mismatch the
+// message carries the new digest; update a constant only for a change
+// that is meant to alter simulated behaviour.
+
+uint64_t fnv1a64(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string hex64(uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+// Four flows share a 100 Mbit/s, 20 ms, 1-BDP bottleneck for 4 s: an
+// unlimited Reno, a 4,000-segment Cubic transfer starting at 50 ms, an
+// unlimited Reno behind delayed ACKs starting at 120 ms, and a fixed
+// 300-segment window paced at 40 Mbit/s starting at 200 ms, which never
+// backs off and so keeps many holes and SACKed runs in its scoreboard.
+std::string recovery_digest(double loss, uint64_t seed) {
+  EventQueue q;
+  auto cfg = DumbbellConfig::make(100e6, Duration::from_millis(20), 1.0);
+  cfg.bottleneck.random_loss = loss;
+  cfg.bottleneck.loss_seed = seed;
+  Dumbbell net(q, cfg);
+  algorithms::native::NativeReno reno(1460, 10 * 1460);
+  algorithms::native::NativeCubic cubic(1460, 10 * 1460);
+  algorithms::native::NativeReno delayed(1460, 10 * 1460);
+  FixedWindow paced(300 * 1460, 5e6);
+  TcpSenderConfig sized;
+  sized.bytes_to_send = 4000 * 1460;
+  net.add_flow(TcpSenderConfig{}, &reno, TimePoint::epoch());
+  net.add_flow(sized, &cubic, at_ms(50));
+  net.add_flow(TcpSenderConfig{}, &delayed, at_ms(120),
+               TcpReceiverConfig{.delayed_ack = true});
+  net.add_flow(TcpSenderConfig{}, &paced, at_ms(200));
+  q.run_until(at_ms(4000));
+  std::string record;
+  for (size_t i = 0; i < net.num_flows(); ++i) {
+    TcpSender& snd = net.sender(i);
+    const TcpSenderStats& s = snd.stats();
+    for (const uint64_t v :
+         {s.segments_sent, s.retransmits, s.fast_retransmits, s.timeouts, s.dupacks,
+          s.loss_events, s.tail_loss_probes, snd.delivered_bytes(), snd.sent_bytes(),
+          static_cast<uint64_t>(snd.srtt().nanos()), net.receiver(i).received_bytes()}) {
+      record += std::to_string(v);
+      record += ',';
+    }
+  }
+  return hex64(fnv1a64(record));
+}
+
+TEST(TcpRecoveryGolden, TenthPercentLoss) {
+  EXPECT_EQ(recovery_digest(0.001, 1), hex64(0x3fb00e18c453174eULL));
+  EXPECT_EQ(recovery_digest(0.001, 2), hex64(0x06070f4843ebc3c0ULL));
+}
+
+TEST(TcpRecoveryGolden, OnePercentLoss) {
+  EXPECT_EQ(recovery_digest(0.01, 1), hex64(0x9174ef65a778e2c4ULL));
+  EXPECT_EQ(recovery_digest(0.01, 2), hex64(0xd5d9c77a4d6c006eULL));
+}
+
+TEST(TcpRecoveryGolden, FivePercentLoss) {
+  EXPECT_EQ(recovery_digest(0.05, 1), hex64(0x9a4eac497b48df72ULL));
+  EXPECT_EQ(recovery_digest(0.05, 2), hex64(0x90e1288fdfe7a514ULL));
 }
 
 }  // namespace
