@@ -6,7 +6,10 @@
 // while the agent only sees batched reports. The bench drives both
 // datapath implementations against a real CcpAgent over the inproc
 // transport, with a per-packet flow-table lookup on every ACK (the demux
-// a real stack performs), and reports end-to-end ACKs/sec.
+// a real stack performs), and reports end-to-end ACKs/sec. The agent is
+// pumped inline on the bench thread, so full_acks_per_sec is an inproc
+// number and the JSON labels it so (full_acks_per_sec_transport); the
+// headline through a real transport is e2ebench's wan_bulk.
 //
 // The headline configuration drives the per-ACK scalar API (the number
 // the committed ratchet compares against). A batch-intake run rides
@@ -29,13 +32,11 @@
 // throughput drops below ratio * the committed full_acks_per_sec (CI
 // uses 0.9: fail on >10% regression).
 #include <algorithm>
-#include <barrier>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "agent/agent.hpp"
@@ -44,8 +45,6 @@
 #include "bench/bench_json.hpp"
 #include "datapath/datapath.hpp"
 #include "datapath/prototype_datapath.hpp"
-#include "datapath/shard.hpp"
-#include "datapath/sharded_datapath.hpp"
 #include "ipc/transport.hpp"
 #include "ipc/wire.hpp"
 #include "lang/compiler.hpp"
@@ -247,123 +246,6 @@ RunResult run_proto() {
   agent::CcpAgent agent(acfg, [&](std::span<const uint8_t> f) { pair.b->send_frame(f); });
   algorithms::register_builtin_algorithms(agent);
   return drive(dp, *pair.a, agent, *pair.b, kFlows, kAcks, &frames);
-}
-
-struct ScalingResult {
-  double cpu_acks_per_sec = 0;   // sum of per-shard acks / thread-CPU-time
-  double wall_acks_per_sec = 0;  // total acks / wall time
-};
-
-/// One worker thread per shard, each folding ACKs through its own flow
-/// table, report batcher, and lane; the main thread plays the control
-/// plane and pushes an install to every flow through the command queues
-/// during warm-up. The headline number is the aggregate of per-shard
-/// rates measured on CLOCK_THREAD_CPUTIME_ID: on a box with >= n_shards
-/// cores it equals the wall-clock aggregate, and on a smaller box (CI
-/// containers are often 1-2 cores) it still exposes any per-shard
-/// synchronization cost — time spent in epoch checks, queue drains, or
-/// cache-line contention is charged to the shard that spends it. The
-/// wall number is recorded alongside for machines with real parallelism.
-ScalingResult run_sharded(uint32_t n_shards, size_t flows_per_shard,
-                          uint64_t acks_per_shard) {
-  datapath::DatapathConfig dcfg;
-  dcfg.flush_interval = Duration::from_millis(1);
-  dcfg.max_batch_msgs = 32;
-  std::vector<uint64_t> lane_frames(n_shards, 0);
-  std::vector<datapath::CcpDatapath::FrameTx> txs;
-  txs.reserve(n_shards);
-  for (uint32_t s = 0; s < n_shards; ++s) {
-    txs.push_back(
-        [&lane_frames, s](std::span<const uint8_t>) { ++lane_frames[s]; });
-  }
-  datapath::ShardedDatapath dp(dcfg, std::move(txs));
-
-  const TimePoint now0 = TimePoint::epoch() + Duration::from_millis(1);
-  datapath::FlowConfig fcfg;
-  std::vector<std::vector<ipc::FlowId>> ids(n_shards);
-  for (uint32_t s = 0; s < n_shards; ++s) {
-    for (size_t i = 0; i < flows_per_shard; ++i) {
-      const ipc::FlowId id = dp.alloc_flow_id(s);
-      dp.shard(s).create_flow(id, fcfg, "reno", now0);
-      ids[s].push_back(id);
-    }
-  }
-
-  std::barrier sync(static_cast<std::ptrdiff_t>(n_shards) + 1);
-  std::vector<double> cpu_rate(n_shards, 0.0);
-  std::vector<std::thread> workers;
-  workers.reserve(n_shards);
-  for (uint32_t s = 0; s < n_shards; ++s) {
-    workers.emplace_back([&, s] {
-      datapath::Shard& shard = dp.shard(s);
-      TimePoint now = now0;
-      const Duration kRtt = Duration::from_millis(10);
-      // Batch intake, same burst size as the single-core headline: each
-      // worker drains its shard's share of a coalesced ACK queue.
-      constexpr size_t kBurst = 32;
-      // Persistent template, same as drive_batch: invariants written
-      // once, per-ACK fields refreshed in place.
-      std::vector<datapath::FlowAck> burst(kBurst);
-      for (datapath::FlowAck& fa : burst) {
-        fa.sent_bytes = 1500;
-        fa.ev.bytes_acked = 1500;
-        fa.ev.packets_acked = 1;
-        fa.ev.bytes_in_flight = 64 * 1500;
-        fa.ev.packets_in_flight = 64;
-      }
-      auto run = [&](uint64_t acks) {
-        for (uint64_t i = 0; i < acks;) {
-          size_t nb = 0;
-          for (; nb < kBurst && i < acks; ++nb, ++i) {
-            now += Duration::from_micros(1);
-            datapath::FlowAck& fa = burst[nb];
-            fa.flow_id = ids[s][i % ids[s].size()];
-            fa.ev.now = now;
-            fa.ev.rtt_sample = kRtt + Duration::from_nanos(
-                                          static_cast<int64_t>(i % 1024) * 1000);
-          }
-          shard.on_ack_batch(
-              std::span<const datapath::FlowAck>(burst.data(), nb));
-          if ((i & 255) == 0) shard.poll(now);  // quiescent point
-        }
-      };
-      run(acks_per_shard / 10);  // warm-up; picks up the installs below
-      sync.arrive_and_wait();
-      const double c0 = thread_cpu_secs();
-      run(acks_per_shard);
-      const double c1 = thread_cpu_secs();
-      shard.poll(now);
-      cpu_rate[s] = static_cast<double>(acks_per_shard) / (c1 - c0);
-      sync.arrive_and_wait();
-    });
-  }
-
-  // Control plane: install a fold program on every flow while the
-  // workers are warming up, so command routing/application is part of
-  // the measured configuration (applied at poll(), before the barrier).
-  ipc::InstallMsg ins;
-  ins.program_text =
-      "fold { acked := acked + Pkt.bytes_acked init 0; }\n"
-      "control { WaitRtts(1.0); Report(); }";
-  for (uint32_t s = 0; s < n_shards; ++s) {
-    for (const ipc::FlowId id : ids[s]) {
-      ins.flow_id = id;
-      dp.handle_frame(ipc::encode_frame(ipc::Message{ins}));
-    }
-  }
-
-  sync.arrive_and_wait();  // workers warmed up, installs applied
-  const TimePoint w0 = monotonic_now();
-  sync.arrive_and_wait();  // workers done measuring
-  const TimePoint w1 = monotonic_now();
-  for (auto& t : workers) t.join();
-
-  ScalingResult r;
-  for (const double v : cpu_rate) r.cpu_acks_per_sec += v;
-  r.wall_acks_per_sec =
-      static_cast<double>(n_shards) * static_cast<double>(acks_per_shard) /
-      (w1 - w0).secs();
-  return r;
 }
 
 // --- million-flow churn (slab-backed flow table at scale) ---
@@ -633,10 +515,6 @@ int main(int argc, char** argv) {
   double committed_full = 0.0;
   const bool have_committed = bench::read_json_num(
       bench::bench_json_path(), "hotpath", "full_acks_per_sec", &committed_full);
-  double committed_1shard = 0.0;
-  const bool have_committed_1shard =
-      bench::read_json_num(bench::bench_json_path(), "scaling",
-                           "shards_1_acks_per_sec", &committed_1shard);
 
   bench::banner("hot path (end-to-end)",
                 "ACK -> demux -> fold -> batched report -> agent -> control");
@@ -794,35 +672,6 @@ int main(int argc, char** argv) {
               proto.acks_per_sec / 1e6,
               static_cast<unsigned long long>(proto.frames_to_agent));
 
-  bench::section("sharded datapath scaling (instrumented, 8 flows/shard)");
-  const unsigned hw_cores = std::thread::hardware_concurrency();
-  constexpr uint64_t kAcksPerShard = 1'000'000;
-  constexpr uint32_t kSweep[] = {1, 2, 4, 8};
-  // Interleaved best-of-3 per shard count, for the same reason as the
-  // instrumented/stripped A/B above: frequency ramp between runs would
-  // otherwise masquerade as (super)linear scaling.
-  ScalingResult scaling[4];
-  for (int rep = 0; rep < 3; ++rep) {
-    for (size_t i = 0; i < 4; ++i) {
-      const ScalingResult r = run_sharded(kSweep[i], 8, kAcksPerShard);
-      if (r.cpu_acks_per_sec > scaling[i].cpu_acks_per_sec) scaling[i] = r;
-    }
-  }
-  for (size_t i = 0; i < 4; ++i) {
-    const double speedup =
-        scaling[i].cpu_acks_per_sec / scaling[0].cpu_acks_per_sec;
-    std::printf(
-        "  %u shard%s: %.2f M ACKs/sec aggregate (%.2fx), wall %.2f M\n",
-        kSweep[i], kSweep[i] == 1 ? " " : "s",
-        scaling[i].cpu_acks_per_sec / 1e6, speedup,
-        scaling[i].wall_acks_per_sec / 1e6);
-  }
-  std::printf(
-      "  (%u hw core%s; aggregate = sum of per-shard CPU-time rates — equals\n"
-      "   the wall-clock aggregate when cores >= shards, and still charges\n"
-      "   sync overhead to the shard that pays it when they don't)\n",
-      hw_cores, hw_cores == 1 ? "" : "s");
-
   bench::section("million-flow churn (Zipf acks + close/create over the slab table)");
   // CCP_BENCH_CHURN_FLOWS overrides the resident count (quick local runs
   // and memory-tight CI containers; 1M flows with 16-entry rate rings is
@@ -972,6 +821,7 @@ int main(int argc, char** argv) {
        {"recorder_overhead_pct", bench::json_num(recorder_overhead_pct)},
        {"report_latency_p50_us", bench::json_num(rep_p50_us)},
        {"report_latency_p99_us", bench::json_num(rep_p99_us)},
+       {"full_acks_per_sec_transport", "\"inproc\""},
        {"n_flows", bench::json_num(static_cast<double>(kFlows))},
        {"acks", bench::json_num(static_cast<double>(kAcks))},
        {"methodology",
@@ -995,36 +845,6 @@ int main(int argc, char** argv) {
        {"methodology",
         "\"pure FoldMachine loop, interleaved best-of-5 per engine; "
         "jit_* keys are the fold-heavy program\""}});
-  bench::update_json_section(
-      bench::bench_json_path(), "scaling",
-      {{"shards_1_acks_per_sec", bench::json_num(scaling[0].cpu_acks_per_sec)},
-       {"shards_2_acks_per_sec", bench::json_num(scaling[1].cpu_acks_per_sec)},
-       {"shards_4_acks_per_sec", bench::json_num(scaling[2].cpu_acks_per_sec)},
-       {"shards_8_acks_per_sec", bench::json_num(scaling[3].cpu_acks_per_sec)},
-       {"shards_1_wall_acks_per_sec", bench::json_num(scaling[0].wall_acks_per_sec)},
-       {"shards_2_wall_acks_per_sec", bench::json_num(scaling[1].wall_acks_per_sec)},
-       {"shards_4_wall_acks_per_sec", bench::json_num(scaling[2].wall_acks_per_sec)},
-       {"shards_8_wall_acks_per_sec", bench::json_num(scaling[3].wall_acks_per_sec)},
-       // With fewer cores than shards the CPU-time aggregate measures sync
-       // overhead, not speedup: n/a rather than a number that reads as one.
-       {"speedup_4_shards",
-        hw_cores < 4 ? std::string("\"n/a\"")
-                     : bench::json_num(scaling[2].cpu_acks_per_sec /
-                                       scaling[0].cpu_acks_per_sec)},
-       {"wall_speedup_4_shards",
-        bench::json_num(scaling[0].wall_acks_per_sec > 0
-                            ? scaling[2].wall_acks_per_sec /
-                                  scaling[0].wall_acks_per_sec
-                            : 0.0)},
-       {"acks_per_shard", bench::json_num(static_cast<double>(kAcksPerShard))},
-       {"hw_cores", bench::json_num(static_cast<double>(hw_cores))},
-       {"methodology",
-        "\"speedup_4_shards is a CPU-TIME aggregate (sum of per-shard rates "
-        "on CLOCK_THREAD_CPUTIME_ID): it measures per-shard sync overhead, "
-        "not parallel capacity, and can approach n_shards even on one core. "
-        "wall_speedup_4_shards is the wall-clock ratio and is the honest "
-        "parallelism number; expect ~1x when hw_cores < shards. "
-        "speedup_4_shards reads n/a when hw_cores < 4\""}});
   bench::update_json_section(
       bench::bench_json_path(), "churn",
       {{"resident_flows", bench::json_num(static_cast<double>(resident_flows))},
@@ -1070,22 +890,6 @@ int main(int argc, char** argv) {
       std::printf("[enforce] ok: instrumented %.3g ACKs/sec >= %.0f%% of "
                   "committed %.3g\n",
                   full.acks_per_sec, enforce_ratio * 100.0, committed_full);
-    }
-    if (!have_committed_1shard) {
-      std::printf("[enforce] no committed shards_1_acks_per_sec to compare "
-                  "against; skipping\n");
-    } else if (scaling[0].cpu_acks_per_sec < enforce_ratio * committed_1shard) {
-      std::fprintf(stderr,
-                   "[enforce] FAIL: 1-shard %.3g ACKs/sec < %.0f%% of "
-                   "committed %.3g\n",
-                   scaling[0].cpu_acks_per_sec, enforce_ratio * 100.0,
-                   committed_1shard);
-      return 1;
-    } else {
-      std::printf("[enforce] ok: 1-shard %.3g ACKs/sec >= %.0f%% of "
-                  "committed %.3g\n",
-                  scaling[0].cpu_acks_per_sec, enforce_ratio * 100.0,
-                  committed_1shard);
     }
     // Arming the watchdog must cost < 2% of the instrumented rate. Gated
     // on the median of paired per-trial CPU-time overheads (same

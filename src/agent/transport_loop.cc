@@ -1,9 +1,5 @@
 #include "agent/transport_loop.hpp"
 
-#include <chrono>
-
-#include "ipc/lanes.hpp"
-
 namespace ccp::agent {
 
 TransportLoop::TransportLoop(ipc::Transport& transport, FrameHandler handler)
@@ -33,48 +29,6 @@ void TransportLoop::run() {
       continue;
     }
     if (transport_.closed()) break;
-  }
-  running_.store(false, std::memory_order_release);
-}
-
-MultiLaneLoop::MultiLaneLoop(
-    std::span<const std::unique_ptr<ipc::Transport>> lanes,
-    LaneFrameHandler handler)
-    : lanes_(lanes), handler_(std::move(handler)) {
-  running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { run(); });
-}
-
-MultiLaneLoop::~MultiLaneLoop() { stop(); }
-
-void MultiLaneLoop::stop() {
-  stop_.store(true, std::memory_order_release);
-  if (thread_.joinable()) thread_.join();
-  running_.store(false, std::memory_order_release);
-}
-
-void MultiLaneLoop::run() {
-  // recv_frame on one lane would block the others, so this loop is
-  // poll-based: drain every lane (round-robin start, so a hot lane 0
-  // can't starve lane 7), then back off when all were idle. The backoff
-  // adapts — 50 µs after the first idle round, doubling to 1 ms while
-  // the lanes stay quiet — so an idle multi-lane agent stops burning
-  // CPU, yet a busy loop never sleeps and a briefly-idle one wakes fast.
-  AdaptiveBackoff backoff;
-  size_t first_lane = 0;
-  while (!stop_.load(std::memory_order_acquire)) {
-    const size_t n = ipc::drain_lanes(lanes_, handler_, first_lane);
-    first_lane = lanes_.empty() ? 0 : (first_lane + 1) % lanes_.size();
-    if (n == 0) {
-      bool all_closed = !lanes_.empty();
-      for (const auto& lane : lanes_) {
-        if (!lane->closed()) { all_closed = false; break; }
-      }
-      if (all_closed) break;
-      std::this_thread::sleep_for(backoff.next());
-    } else {
-      backoff.reset();
-    }
   }
   running_.store(false, std::memory_order_release);
 }

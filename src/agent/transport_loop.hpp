@@ -3,48 +3,14 @@
 // does not need this (it delivers frames through its event queue).
 #pragma once
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <cstddef>
 #include <functional>
-#include <memory>
 #include <span>
 #include <thread>
 
 #include "ipc/transport.hpp"
 
 namespace ccp::agent {
-
-/// Adaptive idle backoff for poll loops: starts at `floor`, doubles on
-/// every consecutive idle round up to `cap`, and resets to the floor the
-/// moment work arrives. A briefly-idle loop stays responsive (first
-/// sleeps are 50 µs) while a long-idle one converges to ~1 ms sleeps —
-/// roughly 20x less wakeup CPU than a fixed 50 µs poll.
-class AdaptiveBackoff {
- public:
-  explicit AdaptiveBackoff(
-      std::chrono::microseconds floor = std::chrono::microseconds(50),
-      std::chrono::microseconds cap = std::chrono::microseconds(1000))
-      : floor_(floor), cap_(cap), current_(floor) {}
-
-  /// The delay to sleep for this idle round; doubles the next one.
-  std::chrono::microseconds next() {
-    const auto delay = current_;
-    current_ = std::min(current_ * 2, cap_);
-    return delay;
-  }
-
-  /// Call when work was found: the next idle sleep restarts at the floor.
-  void reset() { current_ = floor_; }
-
-  std::chrono::microseconds current() const { return current_; }
-
- private:
-  std::chrono::microseconds floor_;
-  std::chrono::microseconds cap_;
-  std::chrono::microseconds current_;
-};
 
 class TransportLoop {
  public:
@@ -66,39 +32,6 @@ class TransportLoop {
 
   ipc::Transport& transport_;
   FrameHandler handler_;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> running_{false};
-  std::thread thread_;
-};
-
-/// Thread that pumps frames from every lane of a sharded datapath into
-/// one handler — the agent's multi-lane ingest. Every shard's reports
-/// funnel through this single thread, so the paper's one-agent
-/// serialization point (one OnMeasurement at a time) survives sharding;
-/// only the datapath side is parallel. Lanes are drained round-robin
-/// from a rotating start so no lane starves the rest.
-class MultiLaneLoop {
- public:
-  /// `handler` receives (lane index, frame). The lane transports must
-  /// outlive the loop.
-  using LaneFrameHandler =
-      std::function<void(size_t lane, std::span<const uint8_t>)>;
-
-  MultiLaneLoop(std::span<const std::unique_ptr<ipc::Transport>> lanes,
-                LaneFrameHandler handler);
-  ~MultiLaneLoop();
-
-  MultiLaneLoop(const MultiLaneLoop&) = delete;
-  MultiLaneLoop& operator=(const MultiLaneLoop&) = delete;
-
-  void stop();
-  bool running() const { return running_.load(std::memory_order_acquire); }
-
- private:
-  void run();
-
-  std::span<const std::unique_ptr<ipc::Transport>> lanes_;
-  LaneFrameHandler handler_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> running_{false};
   std::thread thread_;

@@ -35,9 +35,6 @@ void CcpDatapath::publish_table_gauges() {
   m.dp_flows.set(static_cast<int64_t>(flows_.size()));
   m.dp_table_load_factor.set(
       static_cast<int64_t>(flows_.load_factor() * 10000.0));
-  if (shard_stats_ != nullptr) {
-    shard_stats_->flows.set(static_cast<int64_t>(flows_.size()));
-  }
 }
 
 void CcpDatapath::pump_rehash() {
@@ -222,7 +219,7 @@ size_t CcpDatapath::replay_flow_summaries(TimePoint now, uint64_t token) {
 
 void CcpDatapath::tick(TimePoint now) {
   last_event_time_ = now;
-  // Pump the incremental rehash from the tick path too: an idle shard
+  // Pump the incremental rehash from the tick path too: an idle datapath
   // mid-grow still drains without waiting for ACK traffic.
   if (flows_.rehash_pending()) [[unlikely]] pump_rehash();
   // Per-flow maintenance, bounded when configured: tick_flow_budget = 0
@@ -258,17 +255,6 @@ void CcpDatapath::tick(TimePoint now) {
 }
 
 void CcpDatapath::enqueue(const ipc::Message& msg, bool urgent, TimePoint now) {
-  if (shard_stats_ != nullptr && telemetry::enabled()) {
-    // Per-shard attribution, per message (i.e. per report interval, not
-    // per ACK): the aggregate dp_* counters in emit_report() keep their
-    // totals; these break the same traffic down by owning shard.
-    if (const auto* m = std::get_if<ipc::MeasurementMsg>(&msg)) {
-      shard_stats_->reports.inc();
-      shard_stats_->acks.inc(m->num_acks_folded);
-    } else if (std::holds_alternative<ipc::UrgentMsg>(msg)) {
-      shard_stats_->urgents.inc();
-    }
-  }
   if (pending_msgs_ == 0) {
     oldest_pending_ = now;
     batch_enc_.clear();

@@ -19,10 +19,6 @@
 #include "ipc/wire.hpp"
 #include "util/time.hpp"
 
-namespace ccp::telemetry {
-struct ShardStats;
-}  // namespace ccp::telemetry
-
 namespace ccp::datapath {
 
 struct DatapathConfig {
@@ -73,9 +69,9 @@ class CcpDatapath {
   /// Registers a flow and announces it to the agent.
   CcpFlow& create_flow(const FlowConfig& cfg, const std::string& alg_hint,
                        TimePoint now);
-  /// Same, with a caller-chosen flow id. The sharded datapath allocates
-  /// ids centrally so a flow's id determines its owning shard (the way a
-  /// real stack's 4-tuple hash determines the processing core).
+  /// Same, with a caller-chosen flow id (for a stack that names its own
+  /// flows, or twin datapaths that must agree on ids). Later create_flow
+  /// calls allocate above the largest id chosen here.
   CcpFlow& create_flow_with_id(ipc::FlowId id, const FlowConfig& cfg,
                                const std::string& alg_hint, TimePoint now);
   /// Removes a flow and tells the agent. The FlowClose is batched, not
@@ -119,12 +115,6 @@ class CcpDatapath {
   /// handles, and load factor; the churn bench drives its recycling).
   const FlowTable& flow_table() const { return flows_; }
   FlowTable& flow_table() { return flows_; }
-
-  /// Attributes this datapath's report/urgent traffic to a shard's
-  /// counter set (sharded mode; see src/datapath/shard.hpp). Accounting
-  /// happens per enqueued message — never per ACK — so the hot path cost
-  /// is one pointer test on the report path.
-  void set_shard_stats(telemetry::ShardStats* stats) { shard_stats_ = stats; }
 
  private:
   void enqueue(const ipc::Message& msg, bool urgent, TimePoint now);
@@ -172,7 +162,6 @@ class CcpDatapath {
   bool rx_busy_ = false;
 
   DatapathStats stats_;
-  telemetry::ShardStats* shard_stats_ = nullptr;  // sharded mode only
 };
 
 }  // namespace ccp::datapath

@@ -155,9 +155,9 @@ class CcpFlow final : public CcModule {
   /// program (the datapath rejects it; the old program keeps running).
   void install(const ipc::InstallMsg& msg, TimePoint now);
   /// Installs an already-compiled shared program with variables bound
-  /// positionally (lang::bind_vars). This is the sharded install path:
-  /// the control plane compiles an Install once and every owning shard's
-  /// flows swap in the same immutable program at a quiescent point.
+  /// positionally (lang::bind_vars). install() is this plus
+  /// lang::compile_text_shared, so every datapath in the process shares
+  /// one immutable program per distinct text.
   void install_compiled(std::shared_ptr<const lang::CompiledProgram> prog,
                         std::vector<double> var_values, bool vector_mode,
                         TimePoint now);
@@ -280,8 +280,8 @@ class CcpFlow final : public CcModule {
   RateEstimator rcv_rate_;
 
   // Program state. The compiled program is immutable and shared across
-  // every flow (on any shard) running the same text; all mutable
-  // execution state lives in this flow's FoldMachine.
+  // every flow (in any datapath of the process) running the same text;
+  // all mutable execution state lives in this flow's FoldMachine.
   std::shared_ptr<const lang::CompiledProgram> program_;
   lang::FoldMachine fold_;
   size_t control_pc_ = 0;

@@ -35,8 +35,8 @@ uint32_t FlowTable::alloc_slot() {
   const uint32_t slot = static_cast<uint32_t>(meta_.size());
   const size_t chunk = slot >> kChunkShift;
   if (chunk == chunks_.size()) {
-    // New chunk, allocated here — i.e. on the owning shard's worker
-    // thread, so first-touch places the slab on that worker's NUMA node.
+    // New chunk, allocated here — i.e. on the datapath's owner thread,
+    // so first-touch places the slab on that thread's NUMA node.
     chunks_.push_back(std::make_unique<FlowSlot[]>(kChunkSlots));
   }
   meta_.push_back(SlotMeta{});

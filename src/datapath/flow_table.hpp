@@ -31,9 +31,10 @@
 // {slot, generation} so a handle taken before a close can never alias the
 // flow that later reuses the slot.
 //
-// Not thread-safe: one FlowTable per shard/datapath, touched only by its
-// owner thread. Chunk memory is allocated by create() on that thread, so
-// first-touch policy places a shard's slab on its worker's NUMA node.
+// Not thread-safe: one FlowTable per datapath, touched only by its owner
+// thread. Chunk memory is allocated by create() on that thread, so
+// first-touch policy places a per-core datapath's slab on its own NUMA
+// node.
 #pragma once
 
 #include <cstdint>
@@ -237,7 +238,7 @@ class FlowTable {
   // least cap(old)*3/4 inserts happen before the next grow could
   // trigger; 4 buckets each migrates >= 3x the old capacity — the old
   // table always drains first even if the datapath never pumps
-  // rehash_step (an idle shard taking a connect burst).
+  // rehash_step (an idle datapath taking a connect burst).
   static constexpr size_t kInsertMigrateBuckets = 4;
 
   // Raw storage for one slot; CcpFlow is placement-constructed on

@@ -443,7 +443,7 @@ namespace {
 
 // compile_text_shared's bounded LRU cache. Keyed by exact program text:
 // an agent installs a handful of distinct programs across millions of
-// flows, so the steady state stays tiny while every flow (on any shard)
+// flows, so the steady state stays tiny while every flow (in any datapath)
 // shares one immutable compiled copy. The bound matters under algorithm
 // churn (e.g. a tuner emitting a new parameterized program text per
 // epoch): without it the map — and every JIT code region hanging off the

@@ -51,7 +51,7 @@ struct CompiledProgram {
 
   /// Native compilation of fold_block, attached lazily by
   /// jit::get_or_compile (mutable: the program stays logically immutable;
-  /// this is a cache). Shared by every flow and shard running this
+  /// this is a cache). Shared by every flow and datapath running this
   /// program, and destroyed with the last shared_ptr to it — so evicting
   /// the program from the compile cache frees its machine code only once
   /// no flow still holds the program. A handle with no entry point
@@ -102,9 +102,9 @@ CompiledProgram compile_text(std::string_view src);
 
 /// Compile-once cache: returns a shared immutable program for `src`,
 /// compiling only on first sight of this exact text. Thread-safe — this
-/// is how per-shard VM instances share one compiled program (the
-/// FoldMachine keeps per-flow state; CompiledProgram is read-only after
-/// construction). Throws ProgramError on a malformed program.
+/// is how datapaths on their own threads share one compiled program
+/// (the FoldMachine keeps per-flow state; CompiledProgram is read-only
+/// after construction). Throws ProgramError on a malformed program.
 ///
 /// The cache is a bounded LRU (default capacity
 /// kDefaultProgramCacheCapacity): under algorithm churn the

@@ -4,7 +4,7 @@
 // (FoldMachine::install -> get_or_compile); the per-ACK path then calls
 // the returned function pointer directly. Compilation happens once per
 // CompiledProgram — the handle is cached on the program itself, so every
-// flow on every shard that shares the program (via compile_text_shared)
+// flow in every datapath that shares the program (via compile_text_shared)
 // shares one code region, and the code dies exactly when the last user
 // of the program does.
 //

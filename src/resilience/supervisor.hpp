@@ -15,10 +15,10 @@
 // FlowSummary messages for every active flow (see
 // CcpDatapath::replay_flow_summaries); the restarted agent rebuilds its
 // flow table from those and re-installs programs, which pulls flows out
-// of in-datapath fallback. Because shard command queues are FIFO, any
-// command published before the resync applies before the replay — a
-// stale install can never overwrite resynced state (the PR-3 epoch
-// guard).
+// of in-datapath fallback. Because the datapath applies the agent's
+// commands in arrival order, any command sent before the resync applies
+// before the replay — a stale install can never overwrite resynced
+// state.
 //
 // Everything is poll-driven with injected time: no threads, no real
 // clock, fully deterministic under test.

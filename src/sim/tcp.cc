@@ -330,12 +330,14 @@ void TcpSender::on_ack(const Packet& ack) {
                            : data_limit() - std::min(data_limit(), snd_nxt_);
     cc_->on_ack(ev);
 
-    // Restart the RTO on forward progress; with nothing outstanding,
+    // Restart the RTO on forward progress (re-keying its queued event in
+    // place; the backoff was just reset to 1); with nothing outstanding,
     // quench it.
-    rto_timer_.cancel();
     if (snd_nxt_ != snd_una_) {
-      arm_rto();
+      rto_timer_.arm(now + rto_);
       arm_tlp();
+    } else {
+      rto_timer_.cancel();
     }
   } else if (snd_nxt_ > snd_una_) {
     arm_tlp();

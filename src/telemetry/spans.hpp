@@ -5,11 +5,11 @@
 // sequenced span id; the id (plus the timestamps accumulated so far)
 // rides the IPC wire format through the agent handler and onto any
 // resulting Install/UpdateFields/DirectControl command, and the span
-// closes where that command takes effect — synchronously in the
-// single-core datapath, or at the shard's quiescent-point apply in the
-// sharded one. Closing a span feeds the five ccp_loop_*_ns stage
-// histograms and (when enabled) appends a CompletedSpan to a lock-free
-// ring that tools/ccp_trace_export turns into Perfetto-loadable JSON.
+// closes where that command takes effect: synchronously, when the
+// datapath handles the command. Closing a span feeds the five
+// ccp_loop_*_ns stage histograms and (when enabled) appends a
+// CompletedSpan to a lock-free ring that tools/ccp_trace_export turns
+// into Perfetto-loadable JSON.
 //
 // Cost model: span ids are allocated per *report* (per-RTT cadence, not
 // per ACK), the stamp travels by value inside messages that already
@@ -55,8 +55,7 @@ struct CompletedSpan {
   uint64_t emit_ns = 0;
   uint64_t agent_recv_ns = 0;
   uint64_t agent_send_ns = 0;
-  uint64_t enqueue_ns = 0;  // datapath decoded the command / control plane
-                            // pushed it onto the shard's queue
+  uint64_t enqueue_ns = 0;  // datapath decoded the command
   uint64_t apply_ns = 0;    // command took effect on the flow
   uint32_t flow = 0;
   SpanCommand command = SpanCommand::DirectControl;

@@ -64,16 +64,6 @@ Metrics::Metrics() {
   r.add("ccp_jit_code_bytes", &jit_code_bytes);
   r.add("ccp_lang_cache_programs", &lang_cache_programs);
 
-  for (size_t i = 0; i < kMaxShards; ++i) {
-    const std::string prefix = "ccp_shard" + std::to_string(i) + "_";
-    r.add(prefix + "acks_total", &shard[i].acks);
-    r.add(prefix + "reports_total", &shard[i].reports);
-    r.add(prefix + "urgents_total", &shard[i].urgents);
-    r.add(prefix + "ring_full_total", &shard[i].ring_full);
-    r.add(prefix + "commands_total", &shard[i].commands);
-    r.add(prefix + "flows", &shard[i].flows);
-  }
-
   r.add("ccp_report_latency_ns", &report_latency_ns);
   r.add("ccp_urgent_latency_ns", &urgent_latency_ns);
   r.add("ccp_install_rtt_ns", &install_rtt_ns);

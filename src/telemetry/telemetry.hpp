@@ -57,25 +57,6 @@ inline uint64_t now_ns() noexcept {
           .count());
 }
 
-/// Upper bound on datapath shards with dedicated counter sets. Shards
-/// beyond this share the last set (modulo), so nothing breaks — the
-/// per-shard breakdown just aliases.
-inline constexpr size_t kMaxShards = 16;
-
-/// Per-shard datapath counters, registered as ccp_shard<i>_<name>_total.
-/// Each shard's worker thread is the only writer of its set on the hot
-/// path (lane ring-full drops are counted by the lane wiring, which also
-/// runs on the owning worker), so these are effectively single-writer —
-/// the sharded Counter cells make cross-thread reads safe regardless.
-struct ShardStats {
-  Counter acks;       // ACKs folded on this shard (per report, by delta)
-  Counter reports;    // measurement reports emitted by this shard
-  Counter urgents;    // urgent events emitted by this shard
-  Counter ring_full;  // frames dropped: this shard's IPC lane was full
-  Counter commands;   // agent commands applied at quiescent points
-  Gauge flows;        // live flows resident in this shard's FlowTable
-};
-
 /// Every runtime metric, one member each, registered by name in
 /// MetricsRegistry::global() at construction. Access via metrics().
 struct Metrics {
@@ -144,11 +125,12 @@ struct Metrics {
   // -- program cache (lang::compile_text_shared) --
   Counter lang_cache_evictions;   // LRU evictions under algorithm churn
 
+  // The three table gauges are set, not summed: with one datapath per
+  // thread they read the datapath that last created or closed a flow.
   Gauge active_flows;          // datapath-side live flow count
-  Gauge dp_flows;              // flows resident across every FlowTable
+  Gauge dp_flows;              // flows resident in the FlowTable
   Gauge dp_table_load_factor;  // flow-index load factor, basis points
-                               // (live/buckets * 10000; per-process max
-                               // across tables when sharded)
+                               // (live/buckets * 10000)
   Gauge ipc_ring_used_bytes;   // shm ring occupancy at last send
   Gauge flows_in_fallback;     // flows currently on the safe-mode program
   Gauge jit_code_bytes;        // live JIT code cache size, bytes
@@ -172,16 +154,12 @@ struct Metrics {
   Histogram loop_emit_to_agent_ns;     // report emit -> agent handler entry
   Histogram loop_agent_handler_ns;     // handler entry -> command sent
   Histogram loop_agent_to_enqueue_ns;  // command sent -> datapath enqueue
-  Histogram loop_enqueue_to_apply_ns;  // enqueue -> quiescent-point apply
+  Histogram loop_enqueue_to_apply_ns;  // datapath decode -> command applied
   Histogram loop_total_ns;             // report emit -> command applied
 
   // -- per-stage cycle profiler (profiler.hpp); indexed by ProfStage --
   Counter prof_cycles[kProfStages];   // cycles attributed to the stage
   Counter prof_samples[kProfStages];  // sampled observations of the stage
-
-  // -- sharded datapath (per-shard breakdown; aggregate counters above
-  //    keep counting too) --
-  ShardStats shard[kMaxShards];
 
   Metrics();
   ~Metrics();
@@ -189,11 +167,6 @@ struct Metrics {
 
 /// The global metric set (function-local static; first call registers).
 Metrics& metrics();
-
-/// The counter set for shard `index` (modulo kMaxShards).
-inline ShardStats& shard_stats(size_t index) {
-  return metrics().shard[index % kMaxShards];
-}
 
 /// Records a control-loop trace event iff the trace ring is enabled.
 inline void trace(TraceKind kind, uint32_t flow, double value) noexcept {

@@ -4,7 +4,6 @@
 #include <set>
 
 #include "agent/agent.hpp"
-#include "agent/transport_loop.hpp"
 #include "algorithms/bbr.hpp"
 #include "algorithms/registry.hpp"
 #include "builtin_installs.hpp"
@@ -625,31 +624,6 @@ TEST(AgentProgramCache, ReinstallInsideHandlerKeepsReportLayoutAlive) {
   h.deliver(m);
   EXPECT_DOUBLE_EQ(seen[1], 4321.0);
   EXPECT_EQ(h.sent_of<ipc::InstallMsg>().back().flow_id, 1u);
-}
-
-// --- adaptive idle backoff (transport_loop.hpp) ---
-
-TEST(AdaptiveBackoff, DoublesFromFloorToCapAndResets) {
-  AdaptiveBackoff b;  // 50 us floor, 1 ms cap
-  using std::chrono::microseconds;
-  EXPECT_EQ(b.next(), microseconds(50));
-  EXPECT_EQ(b.next(), microseconds(100));
-  EXPECT_EQ(b.next(), microseconds(200));
-  EXPECT_EQ(b.next(), microseconds(400));
-  EXPECT_EQ(b.next(), microseconds(800));
-  EXPECT_EQ(b.next(), microseconds(1000));  // capped, not 1600
-  EXPECT_EQ(b.next(), microseconds(1000));  // stays at the cap
-  b.reset();  // traffic arrived: back to the floor
-  EXPECT_EQ(b.next(), microseconds(50));
-}
-
-TEST(AdaptiveBackoff, CustomBounds) {
-  AdaptiveBackoff b(std::chrono::microseconds(10),
-                    std::chrono::microseconds(35));
-  EXPECT_EQ(b.next(), std::chrono::microseconds(10));
-  EXPECT_EQ(b.next(), std::chrono::microseconds(20));
-  EXPECT_EQ(b.next(), std::chrono::microseconds(35));
-  EXPECT_EQ(b.current(), std::chrono::microseconds(35));
 }
 
 }  // namespace

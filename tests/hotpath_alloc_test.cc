@@ -9,15 +9,12 @@
 // rate estimator) exists to uphold. See docs/PERF.md.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
 
 #include "datapath/datapath.hpp"
 #include "datapath/prototype_datapath.hpp"
-#include "datapath/shard.hpp"
-#include "datapath/sharded_datapath.hpp"
 #include "ipc/wire.hpp"
 #include "lang/jit/jit.hpp"
 #include "telemetry/telemetry.hpp"
@@ -282,94 +279,6 @@ TEST(HotPathAlloc, VectorModeSteadyStateIsAllocationFree) {
   EXPECT_EQ(allocs, 0u)
       << "per-ACK vector-sample path allocated in steady state";
   EXPECT_GT(frames, before_frames);
-}
-
-TEST(HotPathAlloc, ShardedSteadyStateIsAllocationFree) {
-  // The per-ACK path with the flow table partitioned across shards, the
-  // full telemetry layer (per-shard counters included) on, and the trace
-  // ring installed. Each shard is driven through its own flow table and
-  // lane; poll() — the quiescent point where installs would be picked up
-  // — runs inside the measured window with an empty command queue, so
-  // the epoch check itself is also covered by the zero-alloc invariant.
-  telemetry::set_enabled(true);
-  telemetry::enable_trace(4096);
-  (void)telemetry::metrics().dp_acks.value();
-
-  constexpr uint32_t kShards = 2;
-  DatapathConfig dcfg;
-  dcfg.flush_interval = Duration::from_millis(1);
-  dcfg.max_batch_msgs = 32;
-  uint64_t frames = 0;
-  std::vector<CcpDatapath::FrameTx> lane_txs;
-  for (uint32_t s = 0; s < kShards; ++s) {
-    lane_txs.push_back([&frames](std::span<const uint8_t>) { ++frames; });
-  }
-  ShardedDatapath dp(dcfg, std::move(lane_txs));
-  ASSERT_EQ(dp.num_shards(), kShards);
-
-  TimePoint now = TimePoint::epoch() + Duration::from_millis(1);
-  std::array<std::vector<ipc::FlowId>, kShards> ids;
-  FlowConfig fcfg;
-  for (uint32_t s = 0; s < kShards; ++s) {
-    for (size_t i = 0; i < kFlows / kShards; ++i) {
-      const ipc::FlowId id = dp.alloc_flow_id(s);
-      dp.shard(s).create_flow(id, fcfg, "reno", now);
-      ids[s].push_back(id);
-    }
-  }
-
-  // Drives `acks` ACKs round-robin across both shards' flows, polling
-  // each shard every 256 of its ACKs (same cadence as drive()).
-  const auto drive_shards = [&](uint64_t acks) {
-    AckEvent ev;
-    ev.bytes_acked = 1500;
-    ev.packets_acked = 1;
-    ev.bytes_in_flight = 64 * 1500;
-    ev.packets_in_flight = 64;
-    const Duration kRtt = Duration::from_millis(10);
-    for (uint64_t i = 0; i < acks; ++i) {
-      now += Duration::from_micros(1);
-      Shard& shard = dp.shard(i % kShards);
-      auto* fl = shard.flow(ids[i % kShards][(i / kShards) % ids[0].size()]);
-      ev.now = now;
-      ev.rtt_sample =
-          kRtt + Duration::from_nanos(static_cast<int64_t>(i % 1024) * 1000);
-      fl->on_send(SendEvent{now, 1500});
-      fl->on_ack(ev);
-      if ((i & 255) == 255) {
-        dp.shard(0).poll(now);
-        dp.shard(1).poll(now);
-      }
-    }
-  };
-
-  // Warm-up includes a real install on every flow so command application
-  // (program swap, fold reset) happens before the measured window — the
-  // steady state being pinned down is "programs installed, ACKs folding".
-  drive_shards(kWarmupAcks / 2);
-  ipc::InstallMsg ins;
-  ins.program_text =
-      "fold { r := r + Pkt.bytes_acked init 0; }\n"
-      "control { WaitRtts(1.0); Report(); }";
-  for (uint32_t s = 0; s < kShards; ++s) {
-    for (const ipc::FlowId id : ids[s]) {
-      ins.flow_id = id;
-      dp.handle_frame(ipc::encode_frame(ipc::Message{ins}));
-    }
-  }
-  drive_shards(kWarmupAcks / 2);
-  ASSERT_GT(frames, 0u);
-  ASSERT_EQ(dp.control_stats().commands_routed, kFlows);
-  ASSERT_EQ(dp.shard(0).commands_applied() + dp.shard(1).commands_applied(),
-            kFlows)
-      << "installs must have been applied at a poll() before measuring";
-  ASSERT_GT(telemetry::shard_stats(0).acks.value(), 0u);
-  ASSERT_GT(telemetry::shard_stats(1).acks.value(), 0u);
-
-  const uint64_t allocs = count_allocs_during([&] { drive_shards(kMeasuredAcks); });
-  telemetry::disable_trace();
-  EXPECT_EQ(allocs, 0u)
-      << "sharded per-ACK path allocated in steady state";
 }
 
 TEST(HotPathAlloc, JitSteadyStateIsAllocationFree) {

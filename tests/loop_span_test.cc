@@ -2,9 +2,8 @@
 // real datapath wired over inproc IPC, spans enabled, ACKs driven until
 // reports flow and the agent's commands close spans back at the
 // datapath. Asserts that every stage histogram is populated and that the
-// stage sums telescope to the total — on both the single-threaded
-// datapath (spans close synchronously at command handling) and the
-// sharded datapath (spans close at the shard's quiescent-point apply).
+// stage sums telescope to the total; the datapath closes each span
+// synchronously when it handles the command.
 // Suite names match the CI sanitizer/TSan -R filters.
 #include <gtest/gtest.h>
 
@@ -13,8 +12,6 @@
 #include "agent/agent.hpp"
 #include "algorithms/registry.hpp"
 #include "datapath/datapath.hpp"
-#include "datapath/shard.hpp"
-#include "datapath/sharded_datapath.hpp"
 #include "ipc/transport.hpp"
 #include "ipc/wire.hpp"
 #include "telemetry/telemetry.hpp"
@@ -117,68 +114,6 @@ TEST(TelemetryLoopSpans, SingleDatapathFullLoopPopulatesEveryStage) {
   }
 
   ASSERT_GT(telemetry::metrics().dp_reports.value(), 0u);
-  check_loop_histograms();
-  check_span_ring_ordering();
-  telemetry::disable_spans();
-}
-
-TEST(ShardedDatapathSpans, FullLoopClosesAtShardQuiescentPoint) {
-  telemetry::set_enabled(true);
-  telemetry::enable_spans(1024);
-  reset_loop_histograms();
-
-  // Lane frames go straight into the agent; agent frames go to the
-  // control plane, which routes commands into the shard's queue. The
-  // whole loop runs on this one thread, so the test is deterministic:
-  // commands published during poll()'s tick are applied (and their spans
-  // closed) at the next poll().
-  constexpr uint32_t kShards = 2;
-  datapath::DatapathConfig dcfg;
-  dcfg.flush_interval = Duration::from_millis(1);
-  dcfg.max_batch_msgs = 32;
-  agent::CcpAgent* agent_ptr = nullptr;
-  std::vector<datapath::CcpDatapath::FrameTx> txs;
-  for (uint32_t s = 0; s < kShards; ++s) {
-    txs.push_back([&agent_ptr](std::span<const uint8_t> f) {
-      if (agent_ptr != nullptr) agent_ptr->handle_frame(f);
-    });
-  }
-  datapath::ShardedDatapath dp(dcfg, std::move(txs));
-  agent::AgentConfig acfg;
-  agent::CcpAgent agent(
-      acfg, [&](std::span<const uint8_t> f) { dp.handle_frame(f); });
-  algorithms::register_builtin_algorithms(agent);
-  agent_ptr = &agent;
-
-  TimePoint now = TimePoint::epoch() + Duration::from_millis(1);
-  std::vector<std::vector<ipc::FlowId>> ids(kShards);
-  for (uint32_t s = 0; s < kShards; ++s) {
-    const ipc::FlowId id = dp.alloc_flow_id(s);
-    dp.shard(s).create_flow(id, datapath::FlowConfig{}, "reno", now);
-    ids[s].push_back(id);
-  }
-
-  datapath::AckEvent ev;
-  ev.bytes_acked = 1500;
-  ev.packets_acked = 1;
-  ev.bytes_in_flight = 64 * 1500;
-  ev.packets_in_flight = 64;
-  for (uint64_t i = 0; i < kAcks; ++i) {
-    now += Duration::from_micros(1);
-    datapath::Shard& shard = dp.shard(i % kShards);
-    auto* fl = shard.flow(ids[i % kShards][0]);
-    ev.now = now;
-    ev.rtt_sample = Duration::from_millis(10);
-    fl->on_send(datapath::SendEvent{now, 1500});
-    fl->on_ack(ev);
-    if ((i & 255) == 255) {
-      for (uint32_t s = 0; s < kShards; ++s) dp.shard(s).poll(now);
-    }
-  }
-  // One final poll pair so commands from the last tick's reports apply.
-  for (uint32_t s = 0; s < kShards; ++s) dp.shard(s).poll(now);
-
-  ASSERT_GT(dp.control_stats().commands_routed, 0u);
   check_loop_histograms();
   check_span_ring_ordering();
   telemetry::disable_spans();

@@ -13,7 +13,6 @@
 //   ccp_stats --socket PATH --json                     # one JSON snapshot
 //   ccp_stats --socket PATH --prom                     # Prometheus text format
 //   ccp_stats --socket PATH --trace                    # dump the trace ring
-//   ccp_stats --socket PATH --shards                   # per-shard breakdown
 //   ccp_stats --socket PATH --resilience               # fallback/fault/supervisor view
 //   ccp_stats --socket PATH --table                    # flow-table (slab + index) view
 //   ccp_stats --socket PATH --jit                      # native-execution (JIT) view
@@ -37,7 +36,7 @@ using ccp::telemetry::StatsClient;
 void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --socket PATH [--interval SECS] [--once] [--json] "
-               "[--prom] [--trace] [--shards] [--resilience] [--table] "
+               "[--prom] [--trace] [--resilience] [--table] "
                "[--jit] [--profile] [--loop]\n",
                argv0);
 }
@@ -91,51 +90,6 @@ int dump_trace(StatsClient& client) {
     std::printf("%" PRIu64 ",%u,%s,%.17g\n", ev.t_ns, ev.flow,
                 ccp::telemetry::trace_kind_name(ev.kind), ev.value);
   }
-  return 0;
-}
-
-/// Per-shard counter breakdown (sharded datapath; docs/PERF.md
-/// "Threading model"). Shards with no recorded activity are elided, so
-/// a single-core process prints one row and an 8-shard one prints eight.
-int dump_shards(StatsClient& client) {
-  auto snap = client.snapshot();
-  if (!snap.has_value()) {
-    std::fprintf(stderr, "ccp_stats: snapshot request failed\n");
-    return 1;
-  }
-  std::printf("%6s %16s %12s %10s %10s %10s %8s\n", "shard", "acks",
-              "reports", "urgents", "ring_full", "commands", "flows");
-  uint64_t total[6] = {0, 0, 0, 0, 0, 0};
-  bool any = false;
-  for (size_t s = 0; s < ccp::telemetry::kMaxShards; ++s) {
-    char name[64];
-    const auto get = [&](const char* what) {
-      std::snprintf(name, sizeof(name), "ccp_shard%zu_%s_total", s, what);
-      return counter_value(*snap, name);
-    };
-    std::snprintf(name, sizeof(name), "ccp_shard%zu_flows", s);
-    const auto* fl = snap->gauge(name);
-    const uint64_t flows =
-        fl != nullptr && fl->value > 0 ? static_cast<uint64_t>(fl->value) : 0;
-    const uint64_t row[6] = {get("acks"),      get("reports"),
-                             get("urgents"),   get("ring_full"),
-                             get("commands"),  flows};
-    if ((row[0] | row[1] | row[2] | row[3] | row[4] | row[5]) == 0) continue;
-    any = true;
-    for (size_t k = 0; k < 6; ++k) total[k] += row[k];
-    std::printf("%6zu %16" PRIu64 " %12" PRIu64 " %10" PRIu64 " %10" PRIu64
-                " %10" PRIu64 " %8" PRIu64 "\n",
-                s, row[0], row[1], row[2], row[3], row[4], row[5]);
-  }
-  if (!any) {
-    std::printf("(no per-shard activity recorded; is the process running a "
-                "sharded datapath with telemetry on?)\n");
-    return 0;
-  }
-  std::printf("%6s %16" PRIu64 " %12" PRIu64 " %10" PRIu64 " %10" PRIu64
-              " %10" PRIu64 " %8" PRIu64 "\n",
-              "total", total[0], total[1], total[2], total[3], total[4],
-              total[5]);
   return 0;
 }
 
@@ -266,7 +220,7 @@ int dump_jit(StatsClient& client) {
   return 0;
 }
 
-/// Cycle-profiler view: where sampled ACKs spend their time in the shard
+/// Cycle-profiler view: where sampled ACKs spend their time in the datapath
 /// loop (docs/OBSERVABILITY.md "Cycle profiler"). Values are raw rdtsc
 /// cycles; shares are relative to the total sampled cycles, so they show
 /// the stage mix even without knowing the TSC frequency.
@@ -350,7 +304,7 @@ int dump_loop(StatsClient& client) {
 int main(int argc, char** argv) {
   std::string socket_path;
   double interval_secs = 1.0;
-  bool once = false, json = false, prom = false, trace = false, shards = false;
+  bool once = false, json = false, prom = false, trace = false;
   bool resilience = false, table = false, jit = false, profile = false;
   bool loop = false;
 
@@ -369,7 +323,6 @@ int main(int argc, char** argv) {
     else if (arg == "--json") json = true;
     else if (arg == "--prom") prom = true;
     else if (arg == "--trace") trace = true;
-    else if (arg == "--shards") shards = true;
     else if (arg == "--resilience") resilience = true;
     else if (arg == "--table") table = true;
     else if (arg == "--jit") jit = true;
@@ -397,7 +350,6 @@ int main(int argc, char** argv) {
   }
 
   if (trace) return dump_trace(*client);
-  if (shards) return dump_shards(*client);
   if (resilience) return dump_resilience(*client);
   if (table) return dump_table(*client);
   if (jit) return dump_jit(*client);
