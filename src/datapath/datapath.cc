@@ -29,12 +29,8 @@ CcpFlow& CcpDatapath::create_flow(const FlowConfig& cfg, const std::string& alg_
   return create_flow_with_id(next_flow_id_++, cfg, alg_hint, now);
 }
 
-void CcpDatapath::publish_table_gauges() {
-  auto& m = telemetry::metrics();
-  m.active_flows.set(static_cast<int64_t>(flows_.size()));
-  m.dp_flows.set(static_cast<int64_t>(flows_.size()));
-  m.dp_table_load_factor.set(
-      static_cast<int64_t>(flows_.load_factor() * 10000.0));
+CcpDatapath::~CcpDatapath() {
+  telemetry::metrics().active_flows.sub(static_cast<int64_t>(flows_.size()));
 }
 
 void CcpDatapath::pump_rehash() {
@@ -49,13 +45,14 @@ CcpFlow& CcpDatapath::create_flow_with_id(ipc::FlowId id, const FlowConfig& cfg,
                                           TimePoint now) {
   // Keep locally assigned ids clear of caller-chosen ones.
   if (id >= next_flow_id_) next_flow_id_ = id + 1;
+  const size_t live_before = flows_.size();
   CcpFlow& ref = flows_.create(id, cfg, alg_hint);
-  if (telemetry::enabled()) {
-    auto& m = telemetry::metrics();
-    m.flows_created.inc();
-    m.dp_flow_creates.inc();
-    publish_table_gauges();
-  }
+  // +1, or 0 when the create replaced a live flow with the same id. The
+  // gauge sums over every datapath in the process, so it moves with the
+  // table whether or not telemetry is recording.
+  telemetry::metrics().active_flows.add(
+      static_cast<int64_t>(flows_.size()) - static_cast<int64_t>(live_before));
+  if (telemetry::enabled()) telemetry::metrics().flows_created.inc();
   telemetry::trace(telemetry::TraceKind::FlowCreate, id,
                    static_cast<double>(cfg.init_cwnd_bytes));
 
@@ -75,10 +72,9 @@ void CcpDatapath::close_flow(ipc::FlowId id, TimePoint now) {
       // Residual ACK accounting the flow hasn't drained at a report/tick.
       m.dp_acks.inc(fl->take_unreported_acks());
       m.flows_closed.inc();
-      m.dp_flow_closes.inc();
     }
     flows_.erase(id);  // parks the slot; the next create recycles it
-    if (telemetry::enabled()) publish_table_gauges();
+    telemetry::metrics().active_flows.sub(1);
     telemetry::trace(telemetry::TraceKind::FlowClose, id, 0.0);
     auto& close = std::get<ipc::FlowCloseMsg>(close_msg_);
     close.flow_id = id;

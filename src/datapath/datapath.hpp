@@ -4,7 +4,7 @@
 // Transport-agnostic by design: outgoing frames go through a FrameTx
 // callback and incoming frames arrive via handle_frame(). The simulator
 // wires these through its event queue (with a modeled IPC delay); real
-// deployments wire them to an ipc::Transport (see TransportDriver).
+// deployments wire them to an ipc::Transport (see agent::TransportLoop).
 #pragma once
 
 #include <cstdint>
@@ -65,6 +65,8 @@ class CcpDatapath {
   using FrameTx = std::function<void(std::span<const uint8_t>)>;
 
   CcpDatapath(DatapathConfig config, FrameTx tx);
+  /// Takes this datapath's live flows out of ccp_active_flows.
+  ~CcpDatapath();
 
   /// Registers a flow and announces it to the agent.
   CcpFlow& create_flow(const FlowConfig& cfg, const std::string& alg_hint,
@@ -111,8 +113,8 @@ class CcpDatapath {
 
   const DatapathStats& stats() const { return stats_; }
   size_t num_flows() const { return flows_.size(); }
-  /// The slab-backed flow store (benchmarks and tests read its stats,
-  /// handles, and load factor; the churn bench drives its recycling).
+  /// The slab-backed flow store (benchmarks and tests read its stats
+  /// and load factor; the churn bench drives its recycling).
   const FlowTable& flow_table() const { return flows_; }
   FlowTable& flow_table() { return flows_; }
 
@@ -122,8 +124,6 @@ class CcpDatapath {
   /// it. Out of line: the callers' fast path is the rehash_pending()
   /// test, false for the table's whole steady state.
   void pump_rehash();
-  /// Publishes flow-count / load-factor gauges after create/close.
-  void publish_table_gauges();
 
   DatapathConfig config_;
   FrameTx tx_;

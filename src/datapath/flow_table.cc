@@ -91,26 +91,12 @@ bool FlowTable::erase(ipc::FlowId id) {
   if (slot == kEmptyMark) return false;
   SlotMeta& m = meta_[slot];
   m.state = SlotState::kParked;
-  ++m.generation;  // a handle taken before this close can never resolve
   m.hint = 0;
   slot_flow_[slot]->park();
   free_.push_back(slot);
   --live_;
   ++stats_.closes;
   return true;
-}
-
-FlowHandle FlowTable::handle_of(ipc::FlowId id) const {
-  const uint32_t slot = index_find(id);
-  if (slot == kEmptyMark) return FlowHandle{};
-  return FlowHandle{slot, meta_[slot].generation};
-}
-
-const std::string& FlowTable::hint_of(ipc::FlowId id) const {
-  static const std::string kNone;
-  const uint32_t slot = index_find(id);
-  if (slot == kEmptyMark || hint_names_.empty()) return kNone;
-  return hint_names_[meta_[slot].hint];
 }
 
 uint32_t FlowTable::index_find(ipc::FlowId id) const {

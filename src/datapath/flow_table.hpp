@@ -27,10 +27,6 @@
 //               (old_ buckets are never vacated, so its probe chains stay
 //               intact) and erase tombstones the old_ copy.
 //
-// Slots carry a generation counter bumped on every recycle; FlowHandle =
-// {slot, generation} so a handle taken before a close can never alias the
-// flow that later reuses the slot.
-//
 // Not thread-safe: one FlowTable per datapath, touched only by its owner
 // thread. Chunk memory is allocated by create() on that thread, so
 // first-touch policy places a per-core datapath's slab on its own NUMA
@@ -47,15 +43,6 @@
 #include "ipc/message.hpp"
 
 namespace ccp::datapath {
-
-/// Generation-tagged reference to a table slot. Stale after the flow in
-/// the slot is closed, even if the slot has been recycled for a new flow.
-struct FlowHandle {
-  static constexpr uint32_t kInvalidSlot = 0xffffffffu;
-  uint32_t slot = kInvalidSlot;
-  uint32_t generation = 0;
-  bool valid() const { return slot != kInvalidSlot; }
-};
 
 class FlowTable {
  public:
@@ -95,9 +82,8 @@ class FlowTable {
   CcpFlow& create(ipc::FlowId id, const FlowConfig& cfg,
                   std::string_view alg_hint);
 
-  /// Closes flow `id`: unlinks it from the index, bumps the slot's
-  /// generation, and parks the CcpFlow for reuse. Returns false if the
-  /// id is unknown.
+  /// Closes flow `id`: unlinks it from the index and parks the CcpFlow
+  /// for reuse. Returns false if the id is unknown.
   bool erase(ipc::FlowId id);
 
   /// Per-packet demux: one probe sequence over cur_ (plus old_ only
@@ -126,23 +112,6 @@ class FlowTable {
     }
     return nullptr;
   }
-
-  /// Generation-tagged handle for flow `id` (invalid if unknown).
-  FlowHandle handle_of(ipc::FlowId id) const;
-  /// Resolves a handle; nullptr if the slot was recycled (or freed)
-  /// since the handle was taken.
-  CcpFlow* at(FlowHandle h) {
-    if (h.slot >= meta_.size()) return nullptr;
-    const SlotMeta& m = meta_[h.slot];
-    if (m.state != SlotState::kLive || m.generation != h.generation) {
-      return nullptr;
-    }
-    return slot_flow_[h.slot];
-  }
-
-  /// The interned algorithm hint recorded at create (empty if unknown).
-  const std::string& hint_of(ipc::FlowId id) const;
-  size_t distinct_hints() const { return hint_names_.size(); }
 
   /// True while a grow is still draining its old bucket array.
   bool rehash_pending() const { return !old_.empty(); }
@@ -203,7 +172,6 @@ class FlowTable {
 
   struct SlotMeta {
     ipc::FlowId id = 0;
-    uint32_t generation = 0;
     uint16_t hint = 0;
     SlotState state = SlotState::kEmpty;
   };
@@ -253,7 +221,6 @@ class FlowTable {
     return static_cast<uint64_t>(id) * 0x9E3779B97F4A7C15ULL;
   }
 
-  CcpFlow* flow_at_slot(uint32_t slot) { return slot_flow_[slot]; }
   uint32_t alloc_slot();
   uint16_t intern_hint(std::string_view hint);
 

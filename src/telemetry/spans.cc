@@ -1,7 +1,6 @@
 #include "telemetry/spans.hpp"
 
-#include <algorithm>
-#include <bit>
+#include <atomic>
 
 #include "telemetry/telemetry.hpp"
 
@@ -9,8 +8,7 @@ namespace ccp::telemetry {
 
 namespace {
 std::atomic<uint64_t> g_next_span_id{1};
-std::atomic<SpanRing*> g_spans{nullptr};
-std::unique_ptr<SpanRing> g_spans_storage;
+GlobalRing<SpanRing> g_spans;
 
 // Stage recording guards against missing stamps (a hop that never ran)
 // and clock oddities; a span with holes contributes only the stages it
@@ -33,53 +31,9 @@ const char* span_command_name(SpanCommand c) noexcept {
   return "unknown";
 }
 
-SpanRing::SpanRing(size_t capacity) {
-  size_t cap = std::max<size_t>(capacity, 64);
-  cap = std::bit_ceil(cap);
-  mask_ = cap - 1;
-  slots_ = std::make_unique<Slot[]>(cap);
-}
-
-std::vector<CompletedSpan> SpanRing::dump() const {
-  const size_t cap = capacity();
-  std::vector<CompletedSpan> out;
-  out.reserve(cap);
-  const uint64_t head = head_.load(std::memory_order_acquire);
-  const uint64_t first = head > cap ? head - cap : 0;
-  for (uint64_t t = first; t < head; ++t) {
-    const Slot& s = slots_[t & mask_];
-    const uint64_t seq_before = s.seq.load(std::memory_order_acquire);
-    if (seq_before != t + 1) continue;  // overwritten or mid-write
-    CompletedSpan sp;
-    sp.span_id = s.span_id.load(std::memory_order_relaxed);
-    sp.emit_ns = s.emit_ns.load(std::memory_order_relaxed);
-    sp.agent_recv_ns = s.agent_recv_ns.load(std::memory_order_relaxed);
-    sp.agent_send_ns = s.agent_send_ns.load(std::memory_order_relaxed);
-    sp.enqueue_ns = s.enqueue_ns.load(std::memory_order_relaxed);
-    sp.apply_ns = s.apply_ns.load(std::memory_order_relaxed);
-    sp.flow = s.flow.load(std::memory_order_relaxed);
-    sp.command = static_cast<SpanCommand>(s.command.load(std::memory_order_relaxed));
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (s.seq.load(std::memory_order_relaxed) != t + 1) continue;  // torn
-    out.push_back(sp);
-  }
-  return out;
-}
-
-SpanRing* span_ring() noexcept {
-  return g_spans.load(std::memory_order_relaxed);
-}
-
-void enable_spans(size_t capacity) {
-  g_spans.store(nullptr, std::memory_order_release);
-  g_spans_storage = std::make_unique<SpanRing>(capacity);
-  g_spans.store(g_spans_storage.get(), std::memory_order_release);
-}
-
-void disable_spans() {
-  g_spans.store(nullptr, std::memory_order_release);
-  g_spans_storage.reset();
-}
+SpanRing* span_ring() noexcept { return g_spans.get(); }
+void enable_spans(size_t capacity) { g_spans.enable(capacity); }
+void disable_spans() { g_spans.disable(); }
 
 void close_span(const SpanStamp& stamp, uint64_t enqueue_ns, uint64_t apply_ns,
                 uint32_t flow, SpanCommand cmd) noexcept {

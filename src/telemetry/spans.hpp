@@ -21,11 +21,10 @@
 // to the flight-recorder tier it belongs to, not to baseline telemetry.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
+
+#include "telemetry/seq_ring.hpp"
 
 namespace ccp::telemetry {
 
@@ -61,56 +60,8 @@ struct CompletedSpan {
   SpanCommand command = SpanCommand::DirectControl;
 };
 
-/// Lock-free ring of completed spans, same seqlock-lite scheme as
-/// TraceRing (trace_ring.hpp): one fetch_add ticket, payload as relaxed
-/// atomics, seq published last so readers can detect torn slots.
-class SpanRing {
- public:
-  /// Capacity is rounded up to a power of two (min 64).
-  explicit SpanRing(size_t capacity);
-
-  SpanRing(const SpanRing&) = delete;
-  SpanRing& operator=(const SpanRing&) = delete;
-
-  void record(const CompletedSpan& sp) noexcept {
-    const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
-    Slot& s = slots_[ticket & mask_];
-    s.seq.store(0, std::memory_order_relaxed);
-    s.span_id.store(sp.span_id, std::memory_order_relaxed);
-    s.emit_ns.store(sp.emit_ns, std::memory_order_relaxed);
-    s.agent_recv_ns.store(sp.agent_recv_ns, std::memory_order_relaxed);
-    s.agent_send_ns.store(sp.agent_send_ns, std::memory_order_relaxed);
-    s.enqueue_ns.store(sp.enqueue_ns, std::memory_order_relaxed);
-    s.apply_ns.store(sp.apply_ns, std::memory_order_relaxed);
-    s.flow.store(sp.flow, std::memory_order_relaxed);
-    s.command.store(static_cast<uint8_t>(sp.command), std::memory_order_relaxed);
-    s.seq.store(ticket + 1, std::memory_order_release);
-  }
-
-  /// Copies valid spans, oldest first; slots overwritten or mid-write
-  /// during the scan are skipped (same contract as TraceRing::dump).
-  std::vector<CompletedSpan> dump() const;
-
-  size_t capacity() const noexcept { return mask_ + 1; }
-  uint64_t recorded() const noexcept { return head_.load(std::memory_order_relaxed); }
-
- private:
-  struct Slot {
-    std::atomic<uint64_t> seq{0};  // 0 = empty/being-written, else ticket+1
-    std::atomic<uint64_t> span_id{0};
-    std::atomic<uint64_t> emit_ns{0};
-    std::atomic<uint64_t> agent_recv_ns{0};
-    std::atomic<uint64_t> agent_send_ns{0};
-    std::atomic<uint64_t> enqueue_ns{0};
-    std::atomic<uint64_t> apply_ns{0};
-    std::atomic<uint32_t> flow{0};
-    std::atomic<uint8_t> command{0};
-  };
-
-  size_t mask_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> head_{0};
-};
+/// Lock-free ring of completed spans (seq_ring.hpp).
+using SpanRing = SeqRing<CompletedSpan>;
 
 /// Global span ring, or nullptr when off (one relaxed load).
 SpanRing* span_ring() noexcept;

@@ -23,8 +23,6 @@ Metrics::Metrics() {
   r.add("ccp_dp_resync_flows_total", &dp_resync_flows);
   r.add("ccp_flows_created_total", &flows_created);
   r.add("ccp_flows_closed_total", &flows_closed);
-  r.add("ccp_dp_flow_creates_total", &dp_flow_creates);
-  r.add("ccp_dp_flow_closes_total", &dp_flow_closes);
   r.add("ccp_dp_flow_rehash_steps_total", &dp_flow_rehash_steps);
 
   r.add("ccp_ipc_ring_full_total", &ipc_ring_full);
@@ -57,8 +55,6 @@ Metrics::Metrics() {
   r.add("ccp_lang_cache_evictions_total", &lang_cache_evictions);
 
   r.add("ccp_active_flows", &active_flows);
-  r.add("ccp_dp_flows", &dp_flows);
-  r.add("ccp_dp_table_load_factor", &dp_table_load_factor);
   r.add("ccp_ipc_ring_used_bytes", &ipc_ring_used_bytes);
   r.add("ccp_flows_in_fallback", &flows_in_fallback);
   r.add("ccp_jit_code_bytes", &jit_code_bytes);

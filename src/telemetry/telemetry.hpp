@@ -80,8 +80,6 @@ struct Metrics {
   Counter flows_closed;
 
   // -- flow table (datapath/flow_table.hpp) --
-  Counter dp_flow_creates;       // FlowTable creates (fresh + recycled slots)
-  Counter dp_flow_closes;        // FlowTable closes (slots parked)
   Counter dp_flow_rehash_steps;  // bounded incremental-rehash migration steps
 
   // Unexported and never incremented: e2ebench/workloads.cc still reads
@@ -125,12 +123,7 @@ struct Metrics {
   // -- program cache (lang::compile_text_shared) --
   Counter lang_cache_evictions;   // LRU evictions under algorithm churn
 
-  // The three table gauges are set, not summed: with one datapath per
-  // thread they read the datapath that last created or closed a flow.
-  Gauge active_flows;          // datapath-side live flow count
-  Gauge dp_flows;              // flows resident in the FlowTable
-  Gauge dp_table_load_factor;  // flow-index load factor, basis points
-                               // (live/buckets * 10000)
+  Gauge active_flows;          // live flows, summed over every datapath
   Gauge ipc_ring_used_bytes;   // shm ring occupancy at last send
   Gauge flows_in_fallback;     // flows currently on the safe-mode program
   Gauge jit_code_bytes;        // live JIT code cache size, bytes

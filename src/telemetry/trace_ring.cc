@@ -1,8 +1,5 @@
 #include "telemetry/trace_ring.hpp"
 
-#include <algorithm>
-#include <bit>
-
 namespace ccp::telemetry {
 
 const char* trace_kind_name(TraceKind k) noexcept {
@@ -24,53 +21,12 @@ const char* trace_kind_name(TraceKind k) noexcept {
   return "unknown";
 }
 
-TraceRing::TraceRing(size_t capacity) {
-  size_t cap = std::max<size_t>(capacity, 64);
-  cap = std::bit_ceil(cap);
-  mask_ = cap - 1;
-  slots_ = std::make_unique<Slot[]>(cap);
-}
-
-std::vector<TraceEvent> TraceRing::dump() const {
-  const size_t cap = capacity();
-  std::vector<TraceEvent> out;
-  out.reserve(cap);
-  const uint64_t head = head_.load(std::memory_order_acquire);
-  const uint64_t first = head > cap ? head - cap : 0;
-  for (uint64_t t = first; t < head; ++t) {
-    const Slot& s = slots_[t & mask_];
-    const uint64_t seq_before = s.seq.load(std::memory_order_acquire);
-    if (seq_before != t + 1) continue;  // overwritten or mid-write
-    TraceEvent ev;
-    ev.t_ns = s.t_ns.load(std::memory_order_relaxed);
-    ev.value = s.value.load(std::memory_order_relaxed);
-    ev.flow = s.flow.load(std::memory_order_relaxed);
-    ev.kind = static_cast<TraceKind>(s.kind.load(std::memory_order_relaxed));
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (s.seq.load(std::memory_order_relaxed) != t + 1) continue;  // torn
-    out.push_back(ev);
-  }
-  return out;
-}
-
 namespace {
-std::atomic<TraceRing*> g_trace{nullptr};
-std::unique_ptr<TraceRing> g_trace_storage;
+GlobalRing<TraceRing> g_trace;
 }  // namespace
 
-TraceRing* trace_ring() noexcept {
-  return g_trace.load(std::memory_order_relaxed);
-}
-
-void enable_trace(size_t capacity) {
-  g_trace.store(nullptr, std::memory_order_release);
-  g_trace_storage = std::make_unique<TraceRing>(capacity);
-  g_trace.store(g_trace_storage.get(), std::memory_order_release);
-}
-
-void disable_trace() {
-  g_trace.store(nullptr, std::memory_order_release);
-  g_trace_storage.reset();
-}
+TraceRing* trace_ring() noexcept { return g_trace.get(); }
+void enable_trace(size_t capacity) { g_trace.enable(capacity); }
+void disable_trace() { g_trace.disable(); }
 
 }  // namespace ccp::telemetry

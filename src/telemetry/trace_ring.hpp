@@ -1,19 +1,17 @@
 // Lock-free control-loop event trace.
 //
-// A fixed-capacity ring of timestamped events, written from any thread
-// with one fetch_add plus four plain stores — no locks, no allocation.
-// Enabled by telemetry::init_from_env() when CCP_TRACE_BUF=<capacity> is
-// set, or programmatically via enable_trace(). Readers (dump(), the
-// stats server) get a best-effort consistent copy: each slot carries a
-// sequence word written around the payload so a reader can detect and
-// skip slots torn by a concurrent writer.
+// A fixed-capacity SeqRing (seq_ring.hpp) of timestamped events, written
+// from any thread with one fetch_add plus plain stores — no locks, no
+// allocation. Enabled by telemetry::init_from_env() when
+// CCP_TRACE_BUF=<capacity> is set, or programmatically via
+// enable_trace(). Readers (dump(), the stats server) get a best-effort
+// consistent copy that skips slots torn by a concurrent writer.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
+
+#include "telemetry/seq_ring.hpp"
 
 namespace ccp::telemetry {
 
@@ -43,52 +41,16 @@ struct TraceEvent {
   TraceKind kind = TraceKind::FlowCreate;
 };
 
-class TraceRing {
+/// The control-loop event ring (seq_ring.hpp), with a record() that
+/// takes the event's fields.
+class TraceRing : public SeqRing<TraceEvent> {
  public:
-  /// Capacity is rounded up to a power of two (min 64).
-  explicit TraceRing(size_t capacity);
-
-  TraceRing(const TraceRing&) = delete;
-  TraceRing& operator=(const TraceRing&) = delete;
+  using SeqRing::SeqRing;
+  using SeqRing::record;
 
   void record(TraceKind kind, uint32_t flow, double value, uint64_t t_ns) noexcept {
-    const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
-    Slot& s = slots_[ticket & mask_];
-    // Seqlock-lite: mark the slot invalid, write the payload, then
-    // publish ticket+1 (odd-free scheme: 0 means "being written"). A
-    // lapped writer racing another writer on the same slot can still
-    // mix fields; the reader's double-check catches that case. The
-    // payload fields are relaxed atomics — identical codegen to plain
-    // stores on x86/ARM, but the concurrent reader is well-defined (and
-    // TSan-clean) even mid-overwrite.
-    s.seq.store(0, std::memory_order_relaxed);
-    s.t_ns.store(t_ns, std::memory_order_relaxed);
-    s.value.store(value, std::memory_order_relaxed);
-    s.flow.store(flow, std::memory_order_relaxed);
-    s.kind.store(static_cast<uint16_t>(kind), std::memory_order_relaxed);
-    s.seq.store(ticket + 1, std::memory_order_release);
+    record(TraceEvent{t_ns, value, flow, kind});
   }
-
-  /// Copies valid events, oldest first. Events overwritten or mid-write
-  /// during the scan are skipped.
-  std::vector<TraceEvent> dump() const;
-
-  size_t capacity() const noexcept { return mask_ + 1; }
-  /// Total events ever recorded (may exceed capacity).
-  uint64_t recorded() const noexcept { return head_.load(std::memory_order_relaxed); }
-
- private:
-  struct Slot {
-    std::atomic<uint64_t> seq{0};  // 0 = empty/being-written, else ticket+1
-    std::atomic<uint64_t> t_ns{0};
-    std::atomic<double> value{0.0};
-    std::atomic<uint32_t> flow{0};
-    std::atomic<uint16_t> kind{0};
-  };
-
-  size_t mask_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> head_{0};
 };
 
 /// Global ring, or nullptr when tracing is off. The pointer itself is a

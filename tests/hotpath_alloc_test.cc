@@ -358,7 +358,7 @@ void expect_burst_intake_allocation_free(lang::jit::JitMode mode) {
   // capacity, so refilling it is heap-silent.
   std::vector<FlowAck> burst;
   burst.reserve(32);
-  const auto drive_batch = [&](uint64_t acks) {
+  const auto feed_bursts = [&](uint64_t acks) {
     const Duration kRtt = Duration::from_millis(10);
     for (uint64_t i = 0; i < acks;) {
       burst.clear();
@@ -381,11 +381,11 @@ void expect_burst_intake_allocation_free(lang::jit::JitMode mode) {
     }
   };
 
-  drive_batch(kWarmupAcks);
+  feed_bursts(kWarmupAcks);
   ASSERT_GT(frames, 0u);
 
   const uint64_t allocs =
-      count_allocs_during([&] { drive_batch(kMeasuredAcks); });
+      count_allocs_during([&] { feed_bursts(kMeasuredAcks); });
   lang::jit::set_mode(saved_mode);
   EXPECT_EQ(allocs, 0u) << "burst intake allocated in steady state";
 }

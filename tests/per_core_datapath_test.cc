@@ -239,5 +239,40 @@ TEST_F(PerCoreDatapaths, JitVerifyModeWhileInstallingAcrossThreads) {
       << " verified ACKs";
 }
 
+TEST_F(PerCoreDatapaths, ActiveFlowsGaugeSumsAcrossDatapaths) {
+  // ccp_active_flows is one process-wide sum: each datapath adds its
+  // creates and subtracts its closes and, when destroyed, its live flows,
+  // whether or not telemetry is recording.
+  const auto active = [] { return telemetry::metrics().active_flows.value(); };
+  const int64_t start = active();
+  const TimePoint now = TimePoint::epoch();
+  std::vector<std::unique_ptr<CcpDatapath>> dps;
+  std::vector<ipc::FlowId> first_ids;
+  for (size_t c = 0; c < kCores; ++c) {
+    dps.push_back(std::make_unique<CcpDatapath>(
+        DatapathConfig{}, [](std::span<const uint8_t>) {}));
+    telemetry::set_enabled(c != 1);  // one datapath creates untelemetered
+    for (size_t i = 0; i < kFlowsPerCore; ++i) {
+      const ipc::FlowId id = dps[c]->create_flow(FlowConfig{}, "test", now).id();
+      if (c == 0) first_ids.push_back(id);
+    }
+  }
+  telemetry::set_enabled(true);
+  EXPECT_EQ(active() - start, static_cast<int64_t>(kCores * kFlowsPerCore));
+
+  // A create that replaces a live id is a close plus a create: no change.
+  dps[0]->create_flow_with_id(first_ids[0], FlowConfig{}, "test", now);
+  EXPECT_EQ(active() - start, static_cast<int64_t>(kCores * kFlowsPerCore));
+
+  telemetry::set_enabled(false);
+  for (const ipc::FlowId id : first_ids) dps[0]->close_flow(id, now);
+  telemetry::set_enabled(true);
+  EXPECT_EQ(active() - start,
+            static_cast<int64_t>((kCores - 1) * kFlowsPerCore));
+
+  dps.clear();
+  EXPECT_EQ(active(), start);
+}
+
 }  // namespace
 }  // namespace ccp::datapath

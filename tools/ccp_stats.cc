@@ -14,7 +14,7 @@
 //   ccp_stats --socket PATH --prom                     # Prometheus text format
 //   ccp_stats --socket PATH --trace                    # dump the trace ring
 //   ccp_stats --socket PATH --resilience               # fallback/fault/supervisor view
-//   ccp_stats --socket PATH --table                    # flow-table (slab + index) view
+//   ccp_stats --socket PATH --table                    # flow-table view (live flows, churn)
 //   ccp_stats --socket PATH --jit                      # native-execution (JIT) view
 //   ccp_stats --socket PATH --profile                  # per-stage cycle profiler view
 //   ccp_stats --socket PATH --loop                     # control-loop span latencies
@@ -93,31 +93,26 @@ int dump_trace(StatsClient& client) {
   return 0;
 }
 
-/// Flow-table view: slab/index occupancy and churn tallies for the
-/// slab flow store (docs/PERF.md "Million-flow scale"). Load factor
-/// is exported as a gauge in basis points; rehash_steps counts bounded
-/// incremental-migration steps, so a rising value under churn is normal
-/// — what matters is that it rises in small increments, not bursts.
+/// Flow-table view: live flows and churn tallies, summed over every
+/// datapath in the process (docs/PERF.md "Million-flow scale").
+/// rehash_steps counts bounded incremental-migration steps, so a rising
+/// value under churn is normal — what matters is that it rises in small
+/// increments, not bursts.
 int dump_table(StatsClient& client) {
   auto snap = client.snapshot();
   if (!snap.has_value()) {
     std::fprintf(stderr, "ccp_stats: snapshot request failed\n");
     return 1;
   }
-  const auto* flows = snap->gauge("ccp_dp_flows");
-  const auto* load_bp = snap->gauge("ccp_dp_table_load_factor");
-  const uint64_t creates = counter_value(*snap, "ccp_dp_flow_creates_total");
-  const uint64_t closes = counter_value(*snap, "ccp_dp_flow_closes_total");
+  const auto* flows = snap->gauge("ccp_active_flows");
   std::printf("flow table:\n");
   std::printf("  flows_live          %" PRId64 "\n",
               flows != nullptr ? flows->value : 0);
-  std::printf("  index_load_factor   %.2f%%\n",
-              load_bp != nullptr
-                  ? static_cast<double>(load_bp->value) / 100.0
-                  : 0.0);
   std::printf("churn:\n");
-  std::printf("  creates             %" PRIu64 "\n", creates);
-  std::printf("  closes              %" PRIu64 "\n", closes);
+  std::printf("  creates             %" PRIu64 "\n",
+              counter_value(*snap, "ccp_flows_created_total"));
+  std::printf("  closes              %" PRIu64 "\n",
+              counter_value(*snap, "ccp_flows_closed_total"));
   std::printf("  rehash_steps        %" PRIu64 "\n",
               counter_value(*snap, "ccp_dp_flow_rehash_steps_total"));
   return 0;
