@@ -72,20 +72,28 @@ struct AggregateGroup::State {
         ssthresh(std::numeric_limits<double>::max()) {}
 
   void add_member(Member* member) {
-    reported_this_round[member] = false;
+    members[member] = Round{};
     redistribute();
   }
 
-  void remove_member(Member* member) { reported_this_round.erase(member); }
+  void remove_member(Member* member) { members.erase(member); }
 
-  void on_member_report(Member* member, double acked_bytes) {
+  /// A round ends once every member with ACKs in flight has reported. A
+  /// member whose last report folded no ACK, or that has not reported
+  /// yet, is idle: the datapath sends an idle flow's empty report once
+  /// (a fresh flow's not at all), then nothing until it folds an event,
+  /// so waiting for it would stall the group's growth and its loss guard.
+  void on_member_report(Member* member, double acked_bytes, uint32_t num_acks) {
     if (acked_bytes > 0) round_acked += acked_bytes;
-    reported_this_round[member] = true;
-    const bool all_reported = std::all_of(
-        reported_this_round.begin(), reported_this_round.end(),
-        [](const auto& kv) { return kv.second; });
+    Round& r = members[member];
+    r.reported = true;
+    r.idle = num_acks == 0;
+    const bool all_reported =
+        std::all_of(members.begin(), members.end(), [](const auto& kv) {
+          return kv.second.reported || kv.second.idle;
+        });
     if (!all_reported) return;
-    for (auto& [m, seen] : reported_this_round) seen = false;
+    for (auto& [m, round] : members) round.reported = false;
     ++rounds_seen;
 
     if (round_acked <= 0) return;
@@ -119,13 +127,13 @@ struct AggregateGroup::State {
   }
 
   void redistribute() {
-    if (reported_this_round.empty()) return;
+    if (members.empty()) return;
     double total_weight = 0;
-    for (const auto& [member, seen] : reported_this_round) {
+    for (const auto& [member, round] : members) {
       total_weight += member->weight();
     }
     if (total_weight <= 0) return;
-    for (auto& [member, seen] : reported_this_round) {
+    for (auto& [member, round] : members) {
       member->set_share(
           std::max(cwnd * member->weight() / total_weight, 2.0 * config.mss));
     }
@@ -138,7 +146,12 @@ struct AggregateGroup::State {
   uint64_t rounds_seen = 0;
   uint64_t next_cut_allowed = 0;
   uint64_t loss_episodes = 0;
-  std::map<Member*, bool> reported_this_round;
+
+  struct Round {
+    bool reported = false;  // reported since the last round ended
+    bool idle = true;       // last report folded no ACK, or none yet
+  };
+  std::map<Member*, Round> members;
 };
 
 AggregateGroup::Member::~Member() { state_->remove_member(this); }
@@ -151,7 +164,7 @@ void AggregateGroup::Member::init(FlowControl& flow) {
 }
 
 void AggregateGroup::Member::on_measurement(FlowControl&, const Measurement& m) {
-  state_->on_member_report(this, m.get("acked"));
+  state_->on_member_report(this, m.get("acked"), m.num_acks());
 }
 
 void AggregateGroup::Member::on_urgent(FlowControl&, ipc::UrgentKind kind,
@@ -176,7 +189,7 @@ AlgorithmFactory AggregateGroup::member_factory(double weight) {
 
 double AggregateGroup::aggregate_cwnd_bytes() const { return state_->cwnd; }
 size_t AggregateGroup::num_members() const {
-  return state_->reported_this_round.size();
+  return state_->members.size();
 }
 uint64_t AggregateGroup::loss_episodes() const { return state_->loss_episodes; }
 

@@ -64,6 +64,13 @@ control {
 }
 )";
 
+/// Held here so a create or slot reuse skips the compile cache's mutex
+/// and full-text compare.
+const std::shared_ptr<const lang::CompiledProgram>& default_program() {
+  static const auto prog = lang::compile_text_shared(kDefaultProgram);
+  return prog;
+}
+
 }  // namespace
 
 CcpFlow::CcpFlow(ipc::FlowId id, FlowConfig config, MessageSink sink)
@@ -76,7 +83,7 @@ CcpFlow::CcpFlow(ipc::FlowId id, FlowConfig config, MessageSink sink)
   hot_.cwnd_target_bytes = config.init_cwnd_bytes;
   // Shared across every flow: the default program is compiled exactly
   // once per process, not once per flow.
-  program_ = lang::compile_text_shared(kDefaultProgram);
+  program_ = default_program();
   fold_.install(program_.get(), {});
   refresh_install_latches();
   watchdog_enabled_ =
@@ -114,7 +121,7 @@ void CcpFlow::reset_for_reuse(ipc::FlowId id, const FlowConfig& config) {
   last_pkt_ = lang::PktInfo{};
   snd_rate_.reinit(config.rate_window, config.rate_ring_entries);
   rcv_rate_.reinit(config.rate_window, config.rate_ring_entries);
-  program_ = lang::compile_text_shared(kDefaultProgram);
+  program_ = default_program();
   fold_.install(program_.get(), {});
   control_pc_ = 0;
   advance_pc_on_resume_ = true;
@@ -373,7 +380,7 @@ void CcpFlow::record_fallback_exit(TimePoint now) {
 }
 
 void CcpFlow::reinstall_default(TimePoint now) {
-  install_compiled(lang::compile_text_shared(kDefaultProgram), {},
+  install_compiled(default_program(), {},
                    /*vector_mode=*/false, now);
 }
 
@@ -424,7 +431,19 @@ void CcpFlow::run_control(TimePoint now) {
         return;
       }
       case lang::ControlInstr::Op::Report:
-        emit_report(now);
+        // Report news, not silence: once an empty report has gone out (or
+        // before a fresh flow's first event), an interval that folded no
+        // event sends nothing until one is folded. The volatiles were
+        // reset at the last report, so the next one still covers every
+        // event. With the watchdog armed every report goes out, since the
+        // agent's answers to them are its contact.
+        if (hot_.acks_since_report == 0 && hot_.quiet && !watchdog_enabled_) {
+          if (telemetry::enabled()) {
+            telemetry::metrics().dp_reports_suppressed.inc();
+          }
+        } else {
+          emit_report(now);
+        }
         break;
     }
     ++control_pc_;
@@ -442,7 +461,6 @@ void CcpFlow::emit_report(TimePoint now) {
     auto& m = telemetry::metrics();
     m.dp_acks.inc(take_unreported_acks());
     m.dp_reports.inc();
-    m.dp_report_batches.inc();
     msg.emitted_ns = telemetry::now_ns();
     // Open a control-loop span — only while the flight recorder is
     // actually recording spans: the agent echoes the id (and our emit
@@ -475,6 +493,7 @@ void CcpFlow::emit_report(TimePoint now) {
   }
   sink_(report_msg_, /*urgent=*/false);
   fold_.reset_volatile();
+  hot_.quiet = hot_.acks_since_report == 0;
   hot_.acks_since_report = 0;
   hot_.urgent_since_report = false;
 }
@@ -538,6 +557,9 @@ void CcpFlow::install_compiled(std::shared_ptr<const lang::CompiledProgram> prog
   control_pc_ = 0;
   hot_.waiting = false;
   hot_.acks_since_report = 0;
+  // The new program's first report goes out, empty or not, unless the
+  // flow has never folded an event: then there is still nothing to say.
+  hot_.quiet = hot_.acks_folded_total == 0;
   hot_.vector_mode = vector_mode;
   vector_samples_.clear();
   if (hot_.vector_mode) {

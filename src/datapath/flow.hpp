@@ -104,6 +104,11 @@ struct FlowHot {
   bool waiting = false;
   bool urgent_since_report = false;  // damping: one urgent per interval
   bool vector_mode = false;          // §2.4 vector-of-measurements reporting
+  // Nothing to report: no event since the last report sent, and that
+  // report was empty or the flow has never folded an event. While it
+  // holds, Report() sends nothing: an idle flow reports once, a flow that
+  // never sees an event not at all.
+  bool quiet = true;
   TimePoint wait_until{};
   TimePoint watchdog_deadline = TimePoint::max();  // max() = disarmed
   uint32_t acks_since_report = 0;

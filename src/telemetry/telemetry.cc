@@ -8,10 +8,10 @@ namespace ccp::telemetry {
 Metrics::Metrics() {
   MetricsRegistry& r = MetricsRegistry::global();
   r.add("ccp_dp_acks_total", &dp_acks);
-  r.add("ccp_dp_report_batches_total", &dp_report_batches);
   r.add("ccp_dp_loss_events_total", &dp_loss_events);
   r.add("ccp_dp_timeouts_total", &dp_timeouts);
   r.add("ccp_dp_reports_total", &dp_reports);
+  r.add("ccp_dp_reports_suppressed_total", &dp_reports_suppressed);
   r.add("ccp_dp_urgents_total", &dp_urgents);
   r.add("ccp_dp_installs_total", &dp_installs);
   r.add("ccp_dp_install_errors_total", &dp_install_errors);

@@ -63,10 +63,10 @@ struct Metrics {
   // -- datapath --
   Counter dp_acks;             // ACKs measured (exact; per-flow counted,
                                // drained at report/tick/close)
-  Counter dp_report_batches;   // report batches emitted (one per report msg)
   Counter dp_loss_events;      // loss notifications into the fold machine
   Counter dp_timeouts;         // timeout events
   Counter dp_reports;          // measurement reports emitted
+  Counter dp_reports_suppressed;  // Report() ops skipped: idle after an empty report
   Counter dp_urgents;          // urgent events emitted
   Counter dp_installs;         // programs installed (compile + swap)
   Counter dp_install_errors;   // installs rejected (compile/validate failure)

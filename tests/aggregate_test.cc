@@ -102,6 +102,44 @@ TEST(Aggregate, ReactsToLoss) {
   EXPECT_GT(r.loss_episodes, 0u);
 }
 
+TEST(Aggregate, IdleMemberDoesNotStallTheGroup) {
+  // One member finishes its transfer early and goes idle: its datapath
+  // flow sends one empty report, then none. The bulk members' rounds
+  // must keep ending, so the group window keeps growing and every later
+  // loss episode still cuts it.
+  EventQueue q;
+  auto cfg = DumbbellConfig::make(50e6, Duration::from_millis(10), 1.0);
+  Dumbbell net(q, cfg);
+  SimCcpHost host(q, CcpHostConfig{});
+  agent::AggregateGroup group;
+  host.agent().register_algorithm("agg", group.member_factory());
+  const TimePoint end = at_s(20.0);
+  host.start(end);
+
+  std::vector<TcpSender*> members;
+  for (int i = 0; i < 3; ++i) {
+    TcpSenderConfig snd_cfg;
+    if (i == 2) snd_cfg.bytes_to_send = 200 * 1460;
+    auto& flow = host.create_flow(datapath::FlowConfig{1460, 10 * 1460}, "agg");
+    members.push_back(&net.add_flow(snd_cfg, &flow, TimePoint::epoch()));
+  }
+  algorithms::native::NativeReno outsider(1460, 10 * 1460);
+  net.add_flow(TcpSenderConfig{}, &outsider, TimePoint::epoch());
+
+  q.run_until(at_s(5.0));
+  ASSERT_EQ(members[2]->delivered_bytes(), 200u * 1460);  // idle from here
+  const uint64_t episodes_at_idle = group.loss_episodes();
+  double prev = group.aggregate_cwnd_bytes();
+  int grew = 0;
+  for (double t = 5.1; t <= 20.0; t += 0.1) {
+    q.run_until(at_s(t));
+    if (group.aggregate_cwnd_bytes() > prev) ++grew;
+    prev = group.aggregate_cwnd_bytes();
+  }
+  EXPECT_GT(grew, 50);
+  EXPECT_GE(group.loss_episodes() - episodes_at_idle, 2u);
+}
+
 TEST(Aggregate, MemberChurnIsSafe) {
   agent::AggregateGroup group;
   auto factory = group.member_factory();

@@ -3,6 +3,7 @@
 #include "builtin_installs.hpp"
 #include "datapath/flow.hpp"
 #include "lang/error.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace ccp::datapath {
 namespace {
@@ -39,6 +40,12 @@ AckEvent ack_at(TimePoint now, uint64_t bytes = 1000,
 }
 
 TimePoint at_ms(int64_t ms) { return TimePoint::epoch() + Duration::from_millis(ms); }
+
+/// Report() ops that sent nothing (ccp_dp_reports_suppressed_total); the
+/// tests that read it switch telemetry recording on first.
+uint64_t suppressed_reports() {
+  return telemetry::metrics().dp_reports_suppressed.value();
+}
 
 ipc::InstallMsg install_msg(ipc::FlowId id, const std::string& text,
                             std::vector<std::string> names = {},
@@ -181,18 +188,25 @@ TEST(CcpFlow, UnboundVariableRejected) {
 }
 
 TEST(CcpFlow, WaitUsesAbsoluteTime) {
+  telemetry::set_enabled(true);
   SinkLog log;
   CcpFlow flow(1, config(), log.sink());
   flow.install(install_msg(1, R"(
     control { Wait(5000); Report(); }
   )"), at_ms(0));  // 5 ms wait
+  const uint64_t suppressed0 = suppressed_reports();
   flow.tick(at_ms(4));
   EXPECT_TRUE(log.reports.empty());
+  EXPECT_EQ(suppressed_reports() - suppressed0, 0u);
+  // The flow never folds an event, so each Report() step is suppressed:
+  // the counter shows when the program reached one.
   flow.tick(at_ms(6));
-  EXPECT_EQ(log.reports.size(), 1u);
-  // Program loops: another report ~5 ms later.
+  EXPECT_TRUE(log.reports.empty());
+  EXPECT_EQ(suppressed_reports() - suppressed0, 1u);
+  // Program loops: another Report() ~5 ms later.
   flow.tick(at_ms(12));
-  EXPECT_EQ(log.reports.size(), 2u);
+  EXPECT_TRUE(log.reports.empty());
+  EXPECT_EQ(suppressed_reports() - suppressed0, 2u);
 }
 
 TEST(CcpFlow, WaitRttsScalesWithMeasuredRtt) {
@@ -215,6 +229,7 @@ TEST(CcpFlow, WaitRttsScalesWithMeasuredRtt) {
 TEST(CcpFlow, ControlProgramPulsePattern) {
   // The paper's BBR pulse: verify rates actually alternate in the
   // datapath without agent involvement.
+  telemetry::set_enabled(true);
   SinkLog log;
   CcpFlow flow(1, config(), log.sink());
   flow.install(install_msg(1, R"(
@@ -224,17 +239,112 @@ TEST(CcpFlow, ControlProgramPulsePattern) {
       Rate($r);        WaitRtts(6.0); Report();
     }
   )", {"r"}, {1e6}), at_ms(0));
+  const uint64_t suppressed0 = suppressed_reports();
   // RTT defaults to 10 ms (default_report_interval) before samples.
   EXPECT_DOUBLE_EQ(flow.pacing_rate_bps(), 1.25e6);
   flow.tick(at_ms(11));
   EXPECT_DOUBLE_EQ(flow.pacing_rate_bps(), 0.75e6);
-  EXPECT_EQ(log.reports.size(), 1u);
+  // No ACK ever arrives, so every Report() step is suppressed while the
+  // pulse keeps running.
+  EXPECT_TRUE(log.reports.empty());
+  EXPECT_EQ(suppressed_reports() - suppressed0, 1u);
   flow.tick(at_ms(22));
   EXPECT_DOUBLE_EQ(flow.pacing_rate_bps(), 1e6);
-  EXPECT_EQ(log.reports.size(), 2u);
+  EXPECT_TRUE(log.reports.empty());
+  EXPECT_EQ(suppressed_reports() - suppressed0, 2u);
   flow.tick(at_ms(83));  // 6 RTTs later
   EXPECT_DOUBLE_EQ(flow.pacing_rate_bps(), 1.25e6);  // looped
-  EXPECT_EQ(log.reports.size(), 3u);
+  EXPECT_TRUE(log.reports.empty());
+  EXPECT_EQ(suppressed_reports() - suppressed0, 3u);
+}
+
+TEST(CcpFlow, IdleIntervalReportsOnce) {
+  telemetry::set_enabled(true);
+  SinkLog log;
+  CcpFlow flow(1, config(), log.sink());
+  const auto program = install_msg(1, R"(
+    fold { volatile acked := acked + Pkt.bytes_acked init 0; }
+    control { Wait(10000); Report(); }
+  )");
+  flow.install(program, at_ms(0));
+  for (int ms = 1; ms <= 9; ++ms) flow.on_ack(ack_at(at_ms(ms)));
+  flow.tick(at_ms(10));
+  ASSERT_EQ(log.reports.size(), 1u);
+  EXPECT_EQ(log.reports[0].num_acks_folded, 9u);
+
+  // The first interval without an event still reports, empty.
+  flow.tick(at_ms(20));
+  ASSERT_EQ(log.reports.size(), 2u);
+  EXPECT_EQ(log.reports[1].num_acks_folded, 0u);
+  EXPECT_DOUBLE_EQ(log.reports[1].fields[0], 0.0);
+
+  // Then silence: k idle intervals send nothing and count k skips.
+  const uint64_t suppressed0 = suppressed_reports();
+  for (int ms = 30; ms <= 50; ms += 10) flow.tick(at_ms(ms));
+  EXPECT_EQ(log.reports.size(), 2u);
+  EXPECT_EQ(suppressed_reports() - suppressed0, 3u);
+
+  // One ACK: the next report carries exactly it, with a contiguous seq
+  // and the volatile summed from its reset at the last report sent.
+  flow.on_ack(ack_at(at_ms(55), 1500));
+  flow.tick(at_ms(60));
+  ASSERT_EQ(log.reports.size(), 3u);
+  EXPECT_EQ(log.reports[2].num_acks_folded, 1u);
+  EXPECT_EQ(log.reports[2].report_seq, 2u);
+  EXPECT_DOUBLE_EQ(log.reports[2].fields[0], 1500.0);
+
+  // After activity the next empty interval reports once more.
+  flow.tick(at_ms(70));
+  ASSERT_EQ(log.reports.size(), 4u);
+  EXPECT_EQ(log.reports[3].num_acks_folded, 0u);
+  flow.tick(at_ms(80));
+  EXPECT_EQ(log.reports.size(), 4u);
+
+  // An install starts a new program whose first report goes out, empty
+  // or not.
+  flow.install(program, at_ms(85));
+  flow.tick(at_ms(95));
+  ASSERT_EQ(log.reports.size(), 5u);
+  EXPECT_EQ(log.reports[4].num_acks_folded, 0u);
+  flow.tick(at_ms(105));
+  EXPECT_EQ(log.reports.size(), 5u);
+
+  // A recycled slot starts quiet: the default program (WaitRtts(1.0) at
+  // the 10 ms default RTT, then Report()) sends nothing, and neither does
+  // an install, until the new flow folds its first event.
+  flow.park();
+  flow.reset_for_reuse(2, config());
+  flow.tick(at_ms(110));
+  flow.tick(at_ms(120));
+  flow.install(install_msg(2, "control { Wait(10000); Report(); }"), at_ms(120));
+  flow.tick(at_ms(130));
+  EXPECT_EQ(log.reports.size(), 5u);
+  EXPECT_EQ(suppressed_reports() - suppressed0, 7u);
+  flow.on_ack(ack_at(at_ms(135)));
+  flow.tick(at_ms(140));
+  ASSERT_EQ(log.reports.size(), 6u);
+  EXPECT_EQ(log.reports[5].flow_id, 2u);
+  EXPECT_EQ(log.reports[5].report_seq, 0u);
+  EXPECT_EQ(log.reports[5].num_acks_folded, 1u);
+}
+
+TEST(CcpFlow, IdleWithWatchdogArmedStillReports) {
+  telemetry::set_enabled(true);
+  SinkLog log;
+  FlowConfig cfg = config();
+  cfg.agent_timeout = Duration::from_secs(10);  // armed, never reached here
+  CcpFlow flow(1, cfg, log.sink());
+  flow.install(install_msg(1, R"(
+    control { Wait(10000); Report(); }
+  )"), at_ms(0));
+  const uint64_t suppressed0 = suppressed_reports();
+  for (int ms = 10; ms <= 50; ms += 10) flow.tick(at_ms(ms));
+  // Every idle interval reports: an agent that answers reports keeps
+  // the watchdog fed through them.
+  ASSERT_EQ(log.reports.size(), 5u);
+  for (const auto& r : log.reports) EXPECT_EQ(r.num_acks_folded, 0u);
+  EXPECT_EQ(suppressed_reports(), suppressed0);
+  EXPECT_FALSE(flow.in_fallback());
 }
 
 TEST(CcpFlow, UpdateFieldsTakesEffect) {

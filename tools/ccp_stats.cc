@@ -57,8 +57,8 @@ double rate(const Snapshot& prev, const Snapshot& cur, const char* name) {
 }
 
 void print_live_header() {
-  std::printf("%12s %12s %12s %10s %10s %11s %10s %8s\n", "acks/s",
-              "reports/s", "urgents/s", "rep_p50us", "rep_p99us",
+  std::printf("%12s %12s %12s %12s %10s %10s %11s %10s %8s\n", "acks/s",
+              "reports/s", "suppr/s", "urgents/s", "rep_p50us", "rep_p99us",
               "rep_p999us", "vm_p50ns", "flows");
 }
 
@@ -66,10 +66,11 @@ void print_live_row(const Snapshot& prev, const Snapshot& cur) {
   const auto* rep = cur.histogram("ccp_report_latency_ns");
   const auto* vm = cur.histogram("ccp_vm_exec_ns");
   const auto* flows = cur.gauge("ccp_active_flows");
-  std::printf("%12.0f %12.0f %12.0f %10.1f %10.1f %11.1f %10.0f %8" PRId64
+  std::printf("%12.0f %12.0f %12.0f %12.0f %10.1f %10.1f %11.1f %10.0f %8" PRId64
               "\n",
               rate(prev, cur, "ccp_dp_acks_total"),
               rate(prev, cur, "ccp_dp_reports_total"),
+              rate(prev, cur, "ccp_dp_reports_suppressed_total"),
               rate(prev, cur, "ccp_dp_urgents_total"),
               rep != nullptr ? rep->quantile(0.5) / 1e3 : 0.0,
               rep != nullptr ? rep->quantile(0.99) / 1e3 : 0.0,
