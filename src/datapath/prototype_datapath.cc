@@ -164,6 +164,7 @@ void PrototypeDatapath::handle_frame(std::span<const uint8_t> frame, TimePoint n
     n_msgs = ipc::decode_frame_into(frame, msgs);
   } catch (const ipc::WireError& e) {
     if (use_scratch) rx_busy_ = false;
+    if (telemetry::enabled()) telemetry::metrics().dp_decode_errors.inc();
     CCP_WARN("prototype datapath: dropping malformed frame: %s", e.what());
     return;
   }

@@ -90,20 +90,4 @@ std::optional<std::span<const uint8_t>> ShmRing::record_at(
   return std::span<const uint8_t>(scratch.data(), *len);
 }
 
-std::optional<std::span<const uint8_t>> ShmRing::peek(std::vector<uint8_t>& scratch) {
-  const uint64_t head = hdr_->head.load(std::memory_order_relaxed);
-  const uint64_t tail = hdr_->tail.load(std::memory_order_acquire);
-  if (tail == head) return std::nullopt;
-  const std::optional<std::span<const uint8_t>> rec = record_at(head, tail, scratch);
-  if (!rec.has_value()) return std::nullopt;
-  peeked_bytes_ = 4 + rec->size();
-  return rec;
-}
-
-void ShmRing::consume() {
-  const uint64_t head = hdr_->head.load(std::memory_order_relaxed);
-  hdr_->head.store(head + peeked_bytes_, std::memory_order_release);
-  peeked_bytes_ = 0;
-}
-
 }  // namespace ccp::ipc

@@ -13,6 +13,10 @@
 // This is the stand-in for the paper's Netlink channel: a syscall-free
 // data plane with an optional eventfd doorbell for blocking waits.
 //
+// There are two consumer paths, one per use: pop() copies one record out
+// (the transport's recv_frame), and drain() hands every pending record to
+// a callback as a span into the ring (the transport's drain_frames).
+//
 // The peer is not trusted. The capacity lives in each side's ShmRing
 // (set at create_in), not in shared memory, and every consumer path
 // checks `tail - head` against it and each record's `len` against
@@ -49,21 +53,15 @@ class ShmRing {
   /// or corrupt ring.
   std::optional<std::vector<uint8_t>> pop();
 
-  /// Zero-copy consumer path: exposes the next record's payload without
-  /// retiring it. The span points directly into ring memory when the
-  /// record is contiguous; a record that straddles the wrap point is
-  /// staged through `scratch` (whose capacity is reused across calls).
-  /// The span is invalidated by consume()/pop()/drain().
-  std::optional<std::span<const uint8_t>> peek(std::vector<uint8_t>& scratch);
-
-  /// Retires the record returned by the last successful peek().
-  void consume();
-
-  /// Batched consumer: invokes fn(payload) for every record present when
-  /// the drain began, publishing ONE head update at the end — a single
-  /// head/tail synchronization round-trip (two loads + one store) no
-  /// matter how deep the backlog. Returns the number of records drained;
-  /// a corrupt record ends the drain after the good ones before it.
+  /// Batched zero-copy consumer: invokes fn(payload) for every record
+  /// present when the drain began, publishing ONE head update at the end
+  /// — a single head/tail synchronization round-trip (two loads + one
+  /// store) no matter how deep the backlog. Each span points directly
+  /// into ring memory when the record is contiguous; a record that
+  /// straddles the wrap point is staged through `scratch` (whose capacity
+  /// is reused across calls). Spans stay valid until drain() returns.
+  /// Returns the number of records drained; a corrupt record ends the
+  /// drain after the good ones before it.
   template <typename Fn>
   size_t drain(std::vector<uint8_t>& scratch, Fn&& fn) {
     uint64_t head = hdr_->head.load(std::memory_order_relaxed);
@@ -125,8 +123,7 @@ class ShmRing {
 
   RingHeader* hdr_ = nullptr;
   uint8_t* data_ = nullptr;
-  uint64_t cap_ = 0;           // power of two; private, so the peer cannot change it
-  uint64_t peeked_bytes_ = 0;  // total record bytes of the last peek()
+  uint64_t cap_ = 0;  // power of two; private, so the peer cannot change it
   bool corrupt_ = false;
 };
 

@@ -75,6 +75,9 @@ void Encoder::patch_u16(size_t offset, uint16_t v) {
 void Decoder::need(size_t n) const {
   if (pos_ + n > data_.size()) throw WireError("truncated message");
 }
+void Decoder::need_items(uint64_t count, size_t min_item_bytes) const {
+  if (count > remaining() / min_item_bytes) throw WireError("count exceeds the bytes present");
+}
 uint8_t Decoder::u8() {
   need(1);
   return data_[pos_++];
@@ -106,33 +109,9 @@ double Decoder::f64() {
   return v;
 }
 std::string Decoder::str() {
-  const uint32_t len = u32();
-  if (len > kMaxStrLen) throw WireError("string too long");
-  need(len);
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), len);
-  pos_ += len;
+  std::string s;
+  str_into(s);
   return s;
-}
-std::vector<double> Decoder::f64_vec() {
-  const uint32_t count = u32();
-  if (count > kMaxVecLen) throw WireError("vector too long");
-  need(count * 8);
-  std::vector<double> v;
-  v.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) v.push_back(f64());
-  return v;
-}
-std::vector<std::string> Decoder::str_vec() {
-  const uint32_t count = u32();
-  if (count > kMaxVecLen) throw WireError("vector too long");
-  std::vector<std::string> v;
-  v.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) v.push_back(str());
-  return v;
-}
-void Decoder::skip(size_t n) {
-  need(n);
-  pos_ += n;
 }
 void Decoder::str_into(std::string& out) {
   const uint32_t len = u32();
@@ -144,7 +123,7 @@ void Decoder::str_into(std::string& out) {
 void Decoder::f64_vec_into(std::vector<double>& out) {
   const uint32_t count = u32();
   if (count > kMaxVecLen) throw WireError("vector too long");
-  need(count * 8);
+  need_items(count, 8);
   out.clear();
   out.reserve(count);
   for (uint32_t i = 0; i < count; ++i) out.push_back(f64());
@@ -152,6 +131,7 @@ void Decoder::f64_vec_into(std::vector<double>& out) {
 void Decoder::str_vec_into(std::vector<std::string>& out) {
   const uint32_t count = u32();
   if (count > kMaxVecLen) throw WireError("vector too long");
+  need_items(count, 4);  // each string is at least its u32 length
   // Reuse existing string slots (and their heap buffers) where possible.
   if (out.size() > count) out.resize(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -237,98 +217,6 @@ void encode_payload(Encoder& e, const FlowSummaryMsg& m) {
   e.u8(m.in_fallback ? 1 : 0);
   e.str(m.alg_hint);
   e.u64(m.token);
-}
-
-Message decode_payload(MsgType type, Decoder& d) {
-  switch (type) {
-    case MsgType::Create: {
-      CreateMsg m;
-      m.flow_id = d.u32();
-      m.init_cwnd_bytes = d.u32();
-      m.mss = d.u32();
-      m.src_port = d.u32();
-      m.dst_port = d.u32();
-      m.alg_hint = d.str();
-      m.supports_programs = d.u8() != 0;
-      return m;
-    }
-    case MsgType::Measurement: {
-      MeasurementMsg m;
-      m.flow_id = d.u32();
-      m.report_seq = d.u64();
-      m.num_acks_folded = d.u32();
-      m.is_vector = d.u8() != 0;
-      m.fields = d.f64_vec();
-      m.emitted_ns = d.u64();
-      m.span_id = d.u64();
-      return m;
-    }
-    case MsgType::Urgent: {
-      UrgentMsg m;
-      m.flow_id = d.u32();
-      const uint8_t kind = d.u8();
-      if (kind > static_cast<uint8_t>(UrgentKind::FoldUrgent)) {
-        throw WireError("bad urgent kind");
-      }
-      m.kind = static_cast<UrgentKind>(kind);
-      m.fields = d.f64_vec();
-      m.emitted_ns = d.u64();
-      m.span_id = d.u64();
-      return m;
-    }
-    case MsgType::FlowClose: {
-      FlowCloseMsg m;
-      m.flow_id = d.u32();
-      return m;
-    }
-    case MsgType::Install: {
-      InstallMsg m;
-      m.flow_id = d.u32();
-      m.program_text = d.str();
-      m.var_names = d.str_vec();
-      m.var_values = d.f64_vec();
-      m.vector_mode = d.u8() != 0;
-      m.emitted_ns = d.u64();
-      decode_span(d, m.span);
-      return m;
-    }
-    case MsgType::UpdateFields: {
-      UpdateFieldsMsg m;
-      m.flow_id = d.u32();
-      m.var_values = d.f64_vec();
-      decode_span(d, m.span);
-      return m;
-    }
-    case MsgType::DirectControl: {
-      DirectControlMsg m;
-      m.flow_id = d.u32();
-      const bool has_cwnd = d.u8() != 0;
-      const double cwnd = d.f64();
-      const bool has_rate = d.u8() != 0;
-      const double rate = d.f64();
-      if (has_cwnd) m.cwnd_bytes = cwnd;
-      if (has_rate) m.rate_bps = rate;
-      decode_span(d, m.span);
-      return m;
-    }
-    case MsgType::ResyncRequest: {
-      ResyncRequestMsg m;
-      m.token = d.u64();
-      return m;
-    }
-    case MsgType::FlowSummary: {
-      FlowSummaryMsg m;
-      m.flow_id = d.u32();
-      m.mss = d.u32();
-      m.cwnd_bytes = d.u32();
-      m.srtt_us = d.u64();
-      m.in_fallback = d.u8() != 0;
-      m.alg_hint = d.str();
-      m.token = d.u64();
-      return m;
-    }
-  }
-  throw WireError("unknown message type " + std::to_string(static_cast<int>(type)));
 }
 
 // In-place payload decoders: overwrite an existing struct, reusing its
@@ -459,6 +347,7 @@ std::vector<uint8_t> encode_frame(const Message& msg) {
 size_t decode_frame_into(std::span<const uint8_t> frame, std::vector<Message>& out) {
   Decoder d(frame);
   const uint16_t n = d.u16();
+  d.need_items(n, 5);  // each message is at least its u32 length and type byte
   if (out.size() < n) out.resize(n);
   for (uint16_t i = 0; i < n; ++i) {
     const size_t msg_start = d.position();
@@ -475,22 +364,8 @@ size_t decode_frame_into(std::span<const uint8_t> frame, std::vector<Message>& o
 }
 
 std::vector<Message> decode_frame(std::span<const uint8_t> frame) {
-  Decoder d(frame);
-  const uint16_t n = d.u16();
   std::vector<Message> out;
-  out.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) {
-    const size_t msg_start = d.position();
-    const uint32_t msg_len = d.u32();
-    if (msg_len < 5 || msg_len > kMaxMsgLen) throw WireError("bad message length");
-    const uint8_t type = d.u8();
-    Message m = decode_payload(static_cast<MsgType>(type), d);
-    if (d.position() != msg_start + msg_len) {
-      throw WireError("message length mismatch");
-    }
-    out.push_back(std::move(m));
-  }
-  if (d.remaining() != 0) throw WireError("trailing bytes in frame");
+  out.resize(decode_frame_into(frame, out));
   return out;
 }
 

@@ -8,9 +8,12 @@
 //   msg     := u32 msg_len | u8 type | payload(msg_len-5 bytes)
 //
 // Decoding is defensive end to end: a malformed or truncated frame raises
-// WireError, which the receiving side logs and drops — a corrupt datapath
-// message must never take down the agent, and vice versa (§5 "Is CCP safe
-// to deploy?").
+// WireError, which the receiving side counts, logs and drops — a corrupt
+// datapath message must never take down the agent, and vice versa (§5 "Is
+// CCP safe to deploy?"). Every count the peer claims is checked against
+// the bytes present before anything is sized for it, so a short frame
+// cannot buy a large allocation. There is one decoder, decode_frame_into();
+// decode_frame() is a by-value wrapper over it for tests and tools.
 #pragma once
 
 #include <cstdint>
@@ -69,19 +72,20 @@ class Decoder {
   uint64_t u64();
   double f64();
   std::string str();
-  std::vector<double> f64_vec();
-  std::vector<std::string> str_vec();
 
-  // In-place variants: overwrite `out` reusing its existing capacity.
-  // These are the steady-state decode path — after warm-up no per-message
-  // allocation happens as long as capacities have settled.
+  // Overwrite `out`, reusing its existing capacity: after warm-up no
+  // per-message allocation happens as long as capacities have settled.
   void str_into(std::string& out);
   void f64_vec_into(std::vector<double>& out);
   void str_vec_into(std::vector<std::string>& out);
 
   size_t remaining() const { return data_.size() - pos_; }
   size_t position() const { return pos_; }
-  void skip(size_t n);
+
+  /// Throws WireError unless `count` items of at least `min_item_bytes`
+  /// each fit in the unread bytes. Call it before sizing anything for a
+  /// count the peer claims, so a short message cannot buy a big buffer.
+  void need_items(uint64_t count, size_t min_item_bytes) const;
 
  private:
   void need(size_t n) const;
@@ -101,7 +105,8 @@ std::vector<uint8_t> encode_frame(const Message& msg);
 void encode_frame_into(Encoder& enc, std::span<const Message> msgs);
 void encode_frame_into(Encoder& enc, const Message& msg);
 
-/// Parses a frame into messages. Throws WireError on malformed input.
+/// Parses a frame into fresh messages through decode_frame_into().
+/// Throws WireError on malformed input.
 std::vector<Message> decode_frame(std::span<const uint8_t> frame);
 
 /// In-place frame decode: messages land in `out[0..n)`, reusing each

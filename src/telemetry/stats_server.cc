@@ -39,6 +39,7 @@ Snapshot decode_snapshot(ipc::Decoder& dec) {
   Snapshot snap;
   snap.wall_ns = dec.u64();
   const uint32_t nc = dec.u32();
+  dec.need_items(nc, 12);  // name length + value
   snap.counters.reserve(nc);
   for (uint32_t i = 0; i < nc; ++i) {
     CounterSample c;
@@ -47,6 +48,7 @@ Snapshot decode_snapshot(ipc::Decoder& dec) {
     snap.counters.push_back(std::move(c));
   }
   const uint32_t ng = dec.u32();
+  dec.need_items(ng, 12);
   snap.gauges.reserve(ng);
   for (uint32_t i = 0; i < ng; ++i) {
     GaugeSample g;
@@ -55,6 +57,7 @@ Snapshot decode_snapshot(ipc::Decoder& dec) {
     snap.gauges.push_back(std::move(g));
   }
   const uint32_t nh = dec.u32();
+  dec.need_items(nh, 24);  // name length + count + sum + bucket count
   snap.histograms.reserve(nh);
   for (uint32_t i = 0; i < nh; ++i) {
     HistogramSample h;
@@ -62,6 +65,7 @@ Snapshot decode_snapshot(ipc::Decoder& dec) {
     h.count = dec.u64();
     h.sum = dec.u64();
     const uint32_t nb = dec.u32();
+    dec.need_items(nb, 16);
     h.buckets.reserve(nb);
     for (uint32_t b = 0; b < nb; ++b) {
       const uint64_t upper = dec.u64();

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ipc/wire.hpp"
 #include "util/rng.hpp"
 
@@ -223,6 +225,143 @@ TEST(Wire, FuzzBitFlipsNeverCrash) {
       (void)decode_frame(copy);
     } catch (const WireError&) {
     }
+  }
+}
+
+TEST(Wire, CountBeyondTheFrameGrowsNoScratch) {
+  // A message is at least 5 bytes (u32 length + type), so a frame cannot
+  // hold more than remaining / 5 of them; the count is checked before the
+  // receiver's scratch is sized for it.
+  std::vector<Message> out;
+  const std::vector<uint8_t> ff = {0xff, 0xff};  // claims 65,535 messages
+  EXPECT_THROW(decode_frame_into(ff, out), WireError);
+  EXPECT_EQ(out.size(), 0u);
+
+  auto frame = encode_frame(Message(FlowCloseMsg{1}));
+  frame[0] = 9;  // one message present, nine claimed
+  std::vector<Message> grown;
+  EXPECT_THROW(decode_frame_into(frame, grown), WireError);
+  EXPECT_LE(grown.size(), frame.size() / 5);
+}
+
+// Seeded valid messages of all nine types. Every field gets a fresh
+// value and vectors and strings vary in length (empty included), so a
+// field that an in-place decode fails to overwrite shows up as a value
+// left over from an earlier frame.
+class MsgGen {
+ public:
+  explicit MsgGen(uint64_t seed) : rng_(seed) {}
+
+  Message next() {
+    switch (rng_.next_below(9)) {
+      case 0: {
+        CreateMsg m{u32(), u32(), u32(), u32(), u32(), str()};
+        m.supports_programs = flag();
+        return m;
+      }
+      case 1: return MeasurementMsg{u32(), u64(), u32(), flag(), f64s(), u64(), u64()};
+      case 2: {
+        const auto kind = static_cast<UrgentKind>(rng_.next_below(4));
+        return UrgentMsg{u32(), kind, f64s(), u64(), u64()};
+      }
+      case 3: return FlowCloseMsg{u32()};
+      case 4: {
+        std::vector<std::string> names(rng_.next_below(5));
+        for (auto& n : names) n = str();
+        return InstallMsg{u32(), str(), std::move(names), f64s(), flag(), u64(), span()};
+      }
+      case 5: return UpdateFieldsMsg{u32(), f64s(), span()};
+      case 6: {
+        DirectControlMsg m;
+        m.flow_id = u32();
+        if (flag()) m.cwnd_bytes = f64();
+        if (flag()) m.rate_bps = f64();
+        m.span = span();
+        return m;
+      }
+      case 7: return ResyncRequestMsg{u64()};
+      default: return FlowSummaryMsg{u32(), u32(), u32(), u64(), flag(), str(), u64()};
+    }
+  }
+
+  std::vector<uint8_t> frame() {
+    std::vector<Message> msgs(1 + rng_.next_below(4));
+    for (auto& m : msgs) m = next();
+    return encode_frame(msgs);
+  }
+
+ private:
+  uint32_t u32() { return static_cast<uint32_t>(rng_.next_u64()); }
+  uint64_t u64() { return rng_.next_u64(); }
+  double f64() { return rng_.uniform(-1e9, 1e9); }
+  bool flag() { return rng_.chance(0.5); }
+  std::string str() {
+    std::string s(rng_.next_below(24), ' ');
+    for (char& c : s) c = static_cast<char>('a' + rng_.next_below(26));
+    return s;
+  }
+  std::vector<double> f64s() {
+    std::vector<double> v(rng_.next_below(12));
+    for (double& d : v) d = f64();
+    return v;
+  }
+  SpanStamp span() { return SpanStamp{u64(), u64(), u64(), u64()}; }
+
+  Rng rng_;
+};
+
+// Decodes `frame` into the reused `scratch` and checks that re-encoding
+// the decoded messages reproduces the input bytes.
+void expect_reencodes(std::span<const uint8_t> frame, std::vector<Message>& scratch) {
+  const size_t n = decode_frame_into(frame, scratch);
+  const auto again = encode_frame(std::span<const Message>(scratch.data(), n));
+  ASSERT_TRUE(std::equal(again.begin(), again.end(), frame.begin(), frame.end()));
+}
+
+TEST(Wire, ReusedScratchDecodesLikeAFreshVector) {
+  // decode_frame_into keeps each slot's variant and vectors across frames,
+  // as every receiver's scratch does.
+  MsgGen gen(33);
+  std::vector<Message> scratch;
+  for (int i = 0; i < 4000; ++i) {
+    const auto frame = gen.frame();
+    expect_reencodes(frame, scratch);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(Wire, FuzzThroughOneReusedScratch) {
+  // The junk and bit-flip inputs of the two fuzz cases above, through one
+  // reused scratch, each followed by a valid frame: what a rejected frame
+  // leaves in the slots must not leak into the next decode.
+  MsgGen gen(34);
+  std::vector<Message> scratch;
+  Rng junk_rng(99);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<uint8_t> junk(junk_rng.next_below(200));
+    for (auto& b : junk) b = static_cast<uint8_t>(junk_rng.next_below(256));
+    try {
+      (void)decode_frame_into(junk, scratch);
+    } catch (const WireError&) {
+    }
+    expect_reencodes(gen.frame(), scratch);
+    if (HasFatalFailure()) return;
+  }
+  MeasurementMsg m;
+  m.flow_id = 1;
+  m.fields = {1, 2, 3, 4};
+  const auto frame = encode_frame(Message(m));
+  Rng flip_rng(7);
+  for (int trial = 0; trial < 2000; ++trial) {
+    auto copy = frame;
+    copy[flip_rng.next_below(copy.size())] ^=
+        static_cast<uint8_t>(1u << flip_rng.next_below(8));
+    try {
+      (void)decode_frame_into(copy, scratch);
+    } catch (const WireError&) {
+    }
+    expect_reencodes(gen.frame(), scratch);
+    if (HasFatalFailure()) return;
   }
 }
 

@@ -7,6 +7,7 @@
 #include "datapath/prototype_datapath.hpp"
 #include "sim/ccp_host.hpp"
 #include "sim/dumbbell.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace ccp {
 namespace {
@@ -61,6 +62,24 @@ TEST(PrototypeDatapath, RejectsInstallAcceptsDirectControl) {
   for (int ms = 3; ms < 200; ++ms) flow.on_ack(ack_at(at_ms(ms), 1460));
   EXPECT_EQ(flow.cwnd_bytes(), 99u * 1460u);
   EXPECT_DOUBLE_EQ(flow.pacing_rate_bps(), 5e6);
+}
+
+TEST(PrototypeDatapath, MalformedFrameIsCounted) {
+  datapath::PrototypeDatapath dp(datapath::DatapathConfig{},
+                                 [](std::span<const uint8_t>) {});
+  auto& flow = dp.create_flow(datapath::FlowConfig{1460, 10 * 1460}, "", at_ms(0));
+  const uint64_t c0 = telemetry::metrics().dp_decode_errors.value();
+  const std::vector<uint8_t> junk = {0xff, 0xff};  // claims 65,535 messages
+  dp.handle_frame(junk, at_ms(1));
+  EXPECT_EQ(telemetry::metrics().dp_decode_errors.value() - c0, 1u);
+
+  // The datapath keeps serving the agent after the drop.
+  ipc::DirectControlMsg dc;
+  dc.flow_id = flow.id();
+  dc.rate_bps = 7e6;
+  dp.handle_frame(ipc::encode_frame(ipc::Message(dc)), at_ms(2));
+  EXPECT_DOUBLE_EQ(flow.pacing_rate_bps(), 7e6);
+  EXPECT_EQ(telemetry::metrics().dp_decode_errors.value() - c0, 1u);
 }
 
 TEST(PrototypeDatapath, ReportsFixedLayoutOncePerRtt) {

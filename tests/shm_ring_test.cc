@@ -1,7 +1,10 @@
-// ShmRing consumer-path tests: zero-copy peek/consume, batched drain,
-// randomized wrap-around fuzzing against a reference queue, and full-ring
-// backpressure. These exercise the ring directly (no transport on top) so
-// wrap offsets and record boundaries can be controlled precisely.
+// ShmRing consumer-path tests for its two consumers, pop() and the
+// batched zero-copy drain(): contiguous records as spans into the ring,
+// wrapped records staged through scratch, randomized wrap-around fuzzing
+// against a reference queue, full-ring backpressure, and a hostile peer's
+// header and length writes. These exercise the ring directly (no
+// transport on top) so wrap offsets and record boundaries can be
+// controlled precisely.
 #include "ipc/shm_ring.hpp"
 
 #include <gtest/gtest.h>
@@ -45,71 +48,50 @@ std::vector<uint8_t> pattern(size_t len, uint8_t seed) {
   return v;
 }
 
-TEST(ShmRingPeek, PeekConsumeRoundTrip) {
-  TestRing t(1 << 12);
-  std::vector<uint8_t> scratch;
-  EXPECT_FALSE(t.ring.peek(scratch).has_value());
-
-  const auto a = pattern(100, 1);
-  const auto b = pattern(333, 2);
-  ASSERT_TRUE(t.ring.push(a));
-  ASSERT_TRUE(t.ring.push(b));
-
-  auto p1 = t.ring.peek(scratch);
-  ASSERT_TRUE(p1.has_value());
-  EXPECT_TRUE(std::equal(p1->begin(), p1->end(), a.begin(), a.end()));
-  // Peek does not retire: peeking again sees the same record.
-  auto p1again = t.ring.peek(scratch);
-  ASSERT_TRUE(p1again.has_value());
-  EXPECT_EQ(p1again->size(), a.size());
-  t.ring.consume();
-
-  auto p2 = t.ring.peek(scratch);
-  ASSERT_TRUE(p2.has_value());
-  EXPECT_TRUE(std::equal(p2->begin(), p2->end(), b.begin(), b.end()));
-  t.ring.consume();
-  EXPECT_TRUE(t.ring.empty());
+// Collects the spans one drain() hands out.
+std::vector<std::span<const uint8_t>> drain_all(TestRing& t, std::vector<uint8_t>& scratch) {
+  std::vector<std::span<const uint8_t>> recs;
+  t.ring.drain(scratch, [&](std::span<const uint8_t> rec) { recs.push_back(rec); });
+  return recs;
 }
 
-TEST(ShmRingPeek, ContiguousRecordIsZeroCopy) {
+TEST(ShmRingDrain, ContiguousRecordIsZeroCopy) {
   TestRing t(1 << 12);
   std::vector<uint8_t> scratch;
   const auto a = pattern(64, 3);
   ASSERT_TRUE(t.ring.push(a));
-  auto p = t.ring.peek(scratch);
-  ASSERT_TRUE(p.has_value());
+  const auto recs = drain_all(t, scratch);
+  ASSERT_EQ(recs.size(), 1u);
   // The record sits at the start of a fresh ring: the span must point
   // into ring memory, not into scratch.
-  EXPECT_TRUE(t.in_ring(p->data()));
-  t.ring.consume();
+  EXPECT_TRUE(t.in_ring(recs[0].data()));
 }
 
-TEST(ShmRingPeek, WrappedRecordIsStagedThroughScratch) {
+TEST(ShmRingDrain, WrappedRecordIsStagedThroughScratch) {
   constexpr size_t kCap = 256;
   TestRing t(kCap);
   std::vector<uint8_t> scratch;
 
   // Advance head/tail so the next record straddles the wrap point:
-  // push+consume a 200-byte record (offsets now at 204), then push a
+  // push+drain a 200-byte record (offsets now at 204), then push a
   // 100-byte record (4-byte header ends at 208, payload runs past 256).
   const auto filler = pattern(200, 4);
   ASSERT_TRUE(t.ring.push(filler));
-  ASSERT_TRUE(t.ring.peek(scratch).has_value());
-  t.ring.consume();
+  ASSERT_EQ(drain_all(t, scratch).size(), 1u);
 
   const auto wrapped = pattern(100, 5);
   ASSERT_TRUE(t.ring.push(wrapped));
-  auto p = t.ring.peek(scratch);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_FALSE(t.in_ring(p->data()));  // staged through scratch
-  EXPECT_TRUE(std::equal(p->begin(), p->end(), wrapped.begin(), wrapped.end()));
-  t.ring.consume();
+  const auto recs = drain_all(t, scratch);
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_FALSE(t.in_ring(recs[0].data()));  // staged through scratch
+  EXPECT_TRUE(std::equal(recs[0].begin(), recs[0].end(), wrapped.begin(), wrapped.end()));
   EXPECT_TRUE(t.ring.empty());
 }
 
 TEST(ShmRingDrain, DrainsBacklogInOrder) {
   TestRing t(1 << 12);
   std::vector<uint8_t> scratch;
+  EXPECT_EQ(t.ring.drain(scratch, [](std::span<const uint8_t>) {}), 0u);
   std::vector<std::vector<uint8_t>> sent;
   for (int i = 0; i < 10; ++i) {
     sent.push_back(pattern(50 + static_cast<size_t>(i) * 13, static_cast<uint8_t>(i)));
@@ -149,8 +131,8 @@ TEST(ShmRingDrain, SpansStayValidForTheWholeDrain) {
 }
 
 TEST(ShmRingFuzz, RandomizedWrapAroundAgainstReferenceQueue) {
-  // Small capacity forces frequent wrap-around; every consumer path
-  // (pop, peek+consume, drain) is exercised against a reference deque.
+  // Small capacity forces frequent wrap-around; both consumer paths
+  // (pop, drain) are exercised against a reference deque.
   constexpr size_t kCap = 512;
   TestRing t(kCap);
   std::vector<uint8_t> scratch;
@@ -175,17 +157,6 @@ TEST(ShmRingFuzz, RandomizedWrapAroundAgainstReferenceQueue) {
       ASSERT_EQ(got.has_value(), !reference.empty());
       if (got) {
         EXPECT_EQ(*got, reference.front());
-        reference.pop_front();
-        ++popped;
-      }
-    } else if (action < 9) {  // peek + consume
-      auto got = t.ring.peek(scratch);
-      ASSERT_EQ(got.has_value(), !reference.empty());
-      if (got) {
-        ASSERT_EQ(got->size(), reference.front().size());
-        EXPECT_TRUE(std::equal(got->begin(), got->end(), reference.front().begin(),
-                               reference.front().end()));
-        t.ring.consume();
         reference.pop_front();
         ++popped;
       }
@@ -230,10 +201,9 @@ TEST(ShmRingBackpressure, FullRingRejectsUntilConsumerFreesSpace) {
   EXPECT_FALSE(t.ring.push(rec));
 
   // Freeing one record admits exactly one more.
-  auto got = t.ring.peek(scratch);
+  auto got = t.ring.pop();
   ASSERT_TRUE(got.has_value());
-  EXPECT_TRUE(std::equal(got->begin(), got->end(), rec.begin(), rec.end()));
-  t.ring.consume();
+  EXPECT_EQ(*got, rec);
   EXPECT_TRUE(t.ring.push(rec));
   EXPECT_FALSE(t.ring.push(rec));
 
@@ -252,7 +222,7 @@ TEST(ShmRingBackpressure, FullRingRejectsUntilConsumerFreesSpace) {
 uint64_t corrupt_count() { return telemetry::metrics().ipc_ring_corrupt.value(); }
 
 TEST(ShmRingCorrupt, OversizedLenIsRejectedOnEveryConsumerPath) {
-  for (int path = 0; path < 3; ++path) {
+  for (int path = 0; path < 2; ++path) {
     TestRing t(1 << 12);
     std::vector<uint8_t> scratch;
     ASSERT_TRUE(t.ring.push(pattern(10, 1)));
@@ -260,8 +230,6 @@ TEST(ShmRingCorrupt, OversizedLenIsRejectedOnEveryConsumerPath) {
     const uint64_t c0 = corrupt_count();
     if (path == 0) {
       EXPECT_FALSE(t.ring.pop().has_value());
-    } else if (path == 1) {
-      EXPECT_FALSE(t.ring.peek(scratch).has_value());
     } else {
       EXPECT_EQ(t.ring.drain(scratch, [](std::span<const uint8_t>) {}), 0u);
     }
@@ -319,7 +287,7 @@ TEST(ShmRingCorrupt, TailBehindHeadIsRejected) {
   ASSERT_TRUE(t.ring.pop().has_value());
   t.header().tail.store(2);  // head is 14: tail - head wraps to ~2^64
   std::vector<uint8_t> scratch;
-  EXPECT_FALSE(t.ring.peek(scratch).has_value());
+  EXPECT_EQ(t.ring.drain(scratch, [](std::span<const uint8_t>) {}), 0u);
   EXPECT_TRUE(t.ring.corrupt());
   // The producer refuses to write over a ring whose head it cannot trust.
   TestRing p(1 << 10);

@@ -365,5 +365,42 @@ TEST(StatsServer, EncodeDecodeSnapshotRoundTrip) {
   EXPECT_EQ(out.histograms[0].buckets[1].upper, 255u);
 }
 
+TEST(Snapshot, HostileCountsThrowWireError) {
+  // One counter, gauge, histogram and bucket each; `hostile` replaces the
+  // count at that position with 0xffffffff. A claimed count is checked
+  // against the bytes present before anything is reserved for it.
+  auto reply = [](int hostile) {
+    auto count = [hostile](int at) { return at == hostile ? 0xffffffffu : 1u; };
+    ipc::Encoder e;
+    e.u64(1);
+    e.u32(count(0));
+    e.str("c");
+    e.u64(2);
+    e.u32(count(1));
+    e.str("g");
+    e.u64(3);
+    e.u32(count(2));
+    e.str("h");
+    e.u64(4);
+    e.u64(5);
+    e.u32(count(3));
+    e.u64(6);
+    e.u64(7);
+    return e.buffer();
+  };
+  {
+    const auto bytes = reply(-1);
+    ipc::Decoder dec(bytes);
+    const Snapshot ok = decode_snapshot(dec);
+    ASSERT_EQ(ok.histograms.size(), 1u);
+    EXPECT_EQ(ok.histograms[0].buckets.size(), 1u);
+  }
+  for (int at = 0; at < 4; ++at) {
+    const auto bytes = reply(at);
+    ipc::Decoder dec(bytes);
+    EXPECT_THROW(decode_snapshot(dec), ipc::WireError) << "count " << at;
+  }
+}
+
 }  // namespace
 }  // namespace ccp::telemetry
